@@ -14,7 +14,7 @@ from .distributions import (
     sample_w_pair,
     sample_xi,
 )
-from .harness import DEFAULT_SEED, ExperimentConfig, Report, SampleSet, emit
+from .harness import DEFAULT_SEED, ExperimentConfig, Report, emit
 from .occupancy import (
     OccupancyResult,
     OccupancyTree,
@@ -39,8 +39,6 @@ from .stable_paths import (
     InversePath,
     SubordinatorPath,
     invert_path,
-    sample_fixed_level_limit,
-    sample_limit_integral,
     sample_subordinator_path,
     self_similarity_check,
 )

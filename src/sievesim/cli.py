@@ -25,6 +25,11 @@ _RUNNERS = {
     "appendix": None,  # needs no config beyond the seed
 }
 
+# flag and config-file keys that differ from the ExperimentConfig field they set
+_RENAMED = {"log_n": "log_n_list", "j": "j_list", "u": "u_list",
+            "step": "grid_step_frac", "format": "fmt"}
+
+
 def _read_config_file(path: str) -> dict:
     out = {}
     with open(path) as fh:
@@ -62,8 +67,6 @@ def _parse_args(argv):
         p.add_argument("--threshold-rule")
         p.add_argument("--step", type=float,
                        help="grid step as a fraction of the horizon")
-        p.add_argument("--horizon", type=float,
-                       help="override the grid horizon (defaults to max log-n)")
         p.add_argument("--workers", type=int)
         p.add_argument("--out", default=".")
         p.add_argument("--format", choices=["csv", "json", "both"])
@@ -71,68 +74,46 @@ def _parse_args(argv):
 
 
 def _merged_settings(args) -> dict:
-    settings = {}
-    if args.config:
-        settings.update(_read_config_file(args.config))
-    flag_map = {
-        "alpha": args.alpha, "c": args.c, "kappa": args.kappa, "case": args.case,
-        "log_n": args.log_n, "j": args.j, "u": args.u, "replicas": args.replicas,
-        "seed": args.seed, "threshold_rule": args.threshold_rule,
-        "step": args.step, "horizon": args.horizon, "workers": args.workers,
-        "format": args.format,
-    }
-    for key, val in flag_map.items():
-        if val is not None:
-            settings[key] = val
-    return settings
+    """Config-file entries overridden by flags, keyed by ExperimentConfig
+    field name; case, alpha, c and kappa set the model parameters."""
+    settings = _read_config_file(args.config) if args.config else {}
+    settings.update((key, val) for key, val in vars(args).items()
+                    if val is not None and key not in ("command", "config", "out"))
+    return {_RENAMED.get(key, key): val for key, val in settings.items()}
 
 
-def _as_floats(val):
-    if isinstance(val, str):
-        return tuple(float(x) for x in val.split(","))
-    return tuple(float(x) for x in val)
+def _number(text: str):
+    try:
+        return int(text)
+    except ValueError:
+        return float(text)
+
+
+def _convert(val, default):
+    """A flag value or config-file string as the type of the field default;
+    a tuple when the default is a tuple or None."""
+    if default is None or isinstance(default, tuple):
+        items = val.split(",") if isinstance(val, str) else val
+        return tuple(_number(x.strip()) if isinstance(x, str) else x for x in items)
+    return type(default)(val)
 
 
 def _build_config(settings: dict) -> harness.ExperimentConfig:
-    law = WLaw(settings.get("case", "a"))
-    kappa = settings.get("kappa")
-    params = ModelParams(
-        law=law,
-        alpha=float(settings.get("alpha", 0.5)),
-        c=float(settings.get("c", 1.0)),
-        kappa=float(kappa) if kappa is not None else None,
-    )
-    kwargs = {"params": params}
-    if "log_n" in settings:
-        kwargs["log_n_list"] = _as_floats(settings["log_n"])
-    if "j" in settings:
-        js = tuple(int(x) for x in _as_floats(settings["j"]))
-        default_logn = harness.ExperimentConfig.__dataclass_fields__["log_n_list"].default
-        n_logn = len(kwargs.get("log_n_list", default_logn))
-        kwargs["j_list"] = js * n_logn if len(js) == 1 and n_logn > 1 else js
-    if "u" in settings:
-        kwargs["u_list"] = _as_floats(settings["u"])
-    if "replicas" in settings:
-        kwargs["replicas"] = int(settings["replicas"])
-    if "seed" in settings:
-        kwargs["seed"] = int(settings["seed"])
-    if "threshold_rule" in settings:
-        kwargs["threshold_rule"] = str(settings["threshold_rule"])
-    if "step" in settings:
-        kwargs["grid_step_frac"] = float(settings["step"])
-    if "workers" in settings:
-        kwargs["workers"] = int(settings["workers"])
-    if "format" in settings:
-        kwargs["fmt"] = str(settings["format"])
-    if "horizon" in settings:
-        horizon = float(settings["horizon"])
-        lst = list(kwargs.get("log_n_list", harness.ExperimentConfig().log_n_list))
-        if horizon > max(lst):
-            lst.append(horizon)
-        kwargs["log_n_list"] = tuple(sorted(lst))
-        if "j_list" in kwargs and len(kwargs["j_list"]) != len(kwargs["log_n_list"]):
-            kwargs.pop("j_list")
-    return harness.ExperimentConfig(**kwargs)
+    """ExperimentConfig from merged settings; an unknown key raises ValueError."""
+    settings = dict(settings)
+    params = ModelParams(law=WLaw(settings.pop("case", "a")),
+                         **{key: float(settings.pop(key))
+                            for key in ("alpha", "c", "kappa") if key in settings})
+    fields = harness.ExperimentConfig.__dataclass_fields__
+    kwargs = {}
+    for key, val in settings.items():
+        if key not in fields or key == "params":
+            raise ValueError(f"unknown config key {key!r}")
+        kwargs[key] = _convert(val, fields[key].default)
+    if len(kwargs.get("j_list", ())) == 1:  # one depth applies to every log_n
+        n_logn = len(kwargs.get("log_n_list", fields["log_n_list"].default))
+        kwargs["j_list"] *= n_logn
+    return harness.ExperimentConfig(params=params, **kwargs)
 
 
 def main(argv=None) -> int:
@@ -141,7 +122,7 @@ def main(argv=None) -> int:
     if args.command == "appendix":
         report = harness.run_appendix_checks(int(settings.get("seed",
                                                               harness.DEFAULT_SEED)))
-        fmt = str(settings.get("format", "both"))
+        fmt = str(settings.get("fmt", "both"))
     else:
         config = _build_config(settings)
         report = _RUNNERS[args.command](config)

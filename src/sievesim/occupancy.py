@@ -26,7 +26,6 @@ __all__ = [
     "occupancy_poissonized",
     "normalize_counts",
     "count_N_j",
-    "dump_tree_csv",
 ]
 
 _EXACT_MODE_MAX_BALLS = 10 ** 7
@@ -215,22 +214,20 @@ def occupancy_poissonized(tree: OccupancyTree, log_n: float,
                            pruned_bias_bound=bias, mode="poisson")
 
 
-def normalize_counts(result: OccupancyResult, params: ModelParams,
+def normalize_counts(count, log_n: float, params: ModelParams,
                      consts: DerivedConstants, j: float, u: float) -> float:
     """The depth-normalized count c j^alpha K(floor(j u)) /
-    (rho_(floor(ju)-1) (log n)^(alpha floor(ju))), evaluated in log space."""
+    (rho_(floor(ju)-1) (log n)^(alpha floor(ju))), evaluated in log space;
+    count is K(floor(j u)), the occupied boxes at level floor(j u)."""
     level = math.floor(j * u)
     if level < 1:
         raise ValueError(f"floor(j*u) = {level}; the statistic needs level >= 1")
-    if level > result.counts.size:
-        raise ValueError(f"level {level} beyond the simulated depth {result.counts.size}")
-    k = result.counts[level - 1]
-    if k == 0:
+    if count == 0:
         return 0.0
     a = params.alpha
-    log_val = (math.log(params.c) + a * math.log(j) + math.log(k)
+    log_val = (math.log(params.c) + a * math.log(j) + math.log(count)
                - consts.log_power_coefs[level - 1]
-               - a * level * math.log(result.log_n))
+               - a * level * math.log(log_n))
     return math.exp(log_val)
 
 
@@ -246,12 +243,3 @@ def count_N_j(tree: OccupancyTree, t: float) -> np.ndarray:
             "miss pruned boxes")
     return np.array([int(np.count_nonzero(tree.neglogs[j] <= t))
                      for j in range(tree.max_level)], dtype=np.int64)
-
-
-def dump_tree_csv(tree: OccupancyTree, path) -> None:
-    """One record per retained node: level, parent ordinal, -log mass."""
-    with open(path, "w") as fh:
-        fh.write("level,parent,neglog_weight\n")
-        for j in range(1, tree.max_level + 1):
-            for par, nl in zip(tree.parents[j - 1], tree.neglogs[j - 1]):
-                fh.write(f"{j},{par},{nl!r}\n")

@@ -76,13 +76,6 @@ class GridFunction:
         mids = (np.arange(self.values.size - 1) + 0.5) * self.step
         return float(self.values[0] + np.sum(np.exp(-s * mids) * np.diff(self.values)))
 
-    def to_csv(self, path) -> None:
-        kind_j = "" if self.j is None else repr(self.j)
-        with open(path, "w") as fh:
-            fh.write("t,value,kind,j\n")
-            for t, v in zip(self.grid(), self.values):
-                fh.write(f"{t!r},{v!r},{self.kind},{kind_j}\n")
-
 
 def _count_grid_mc(draw_points, horizon: float, step: float, n_replicas: int,
                    rng: np.random.Generator, origin_mass: bool):
@@ -149,19 +142,6 @@ def estimate_U(params: ModelParams, horizon: float, step: float, n_replicas: int
     mean, se = _count_grid_mc(draw_points, horizon, step, n_replicas, rng,
                               origin_mass=True)
     return GridFunction(step=step, values=mean, kind="U", se=se)
-
-
-def _renewal_grid_mc(draw_increments, horizon: float, step: float, n_replicas: int,
-                     rng: np.random.Generator) -> GridFunction:
-    """Renewal-function grid for generic positive iid increments."""
-
-    def draw_points(s_active, rng_):
-        inc = draw_increments(s_active.size, rng_)
-        return s_active + inc, inc
-
-    mean, se = _count_grid_mc(draw_points, horizon, step, n_replicas, rng,
-                              origin_mass=True)
-    return GridFunction(step=step, values=mean, kind="generic", se=se)
 
 
 def convolve(a: GridFunction, b: GridFunction) -> GridFunction:
@@ -390,12 +370,15 @@ def check_u_equation(params: ModelParams, t_list, n_mc: int, rng: np.random.Gene
     uhat_grid = None
     if params.law is WLaw.GAMMA_MIXTURE:
         x_max = float(b.max()) * horizon ** params.alpha * 1.05 + 1.0
+        x_step = x_max / 2 ** 12
         kappa = params.kappa
 
-        def draw_gamma(n, rng_):
-            return rng_.gamma(shape=kappa, scale=1.0 / kappa, size=n)
+        def draw_gamma(s_active, rng_):
+            inc = rng_.gamma(shape=kappa, scale=1.0 / kappa, size=s_active.size)
+            return s_active + inc, inc
 
-        uhat_grid = _renewal_grid_mc(draw_gamma, x_max, x_max / 2 ** 12, n_mc, rng)
+        mean, se = _count_grid_mc(draw_gamma, x_max, x_step, n_mc, rng, origin_mass=True)
+        uhat_grid = GridFunction(step=x_step, values=mean, se=se)
 
     rows = []
     for t in t_arr:

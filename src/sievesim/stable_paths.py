@@ -25,9 +25,7 @@ __all__ = [
     "inverse_at_level",
     "inverse_marginal_exact",
     "inverse_mean_coef",
-    "sample_limit_integral",
     "sample_limit_integrals",
-    "sample_fixed_level_limit",
     "sample_fixed_level_limits",
     "self_similarity_check",
     "default_limit_grid",
@@ -208,14 +206,6 @@ def sample_limit_integrals(alpha: float, u_list, n_draws: int, rng: np.random.Ge
     return values, tails
 
 
-def sample_limit_integral(alpha: float, u_list, rng: np.random.Generator,
-                          y_horizon: float | None = None, y_step: float | None = None,
-                          v_step: float | None = None):
-    """One joint draw across u_list; returns (values, tail_bounds) as 1-d arrays."""
-    values, tails = sample_limit_integrals(alpha, u_list, 1, rng, y_horizon, y_step, v_step)
-    return values[0], tails[0]
-
-
 def sample_fixed_level_limits(alpha: float, j: int, n_draws: int, rng: np.random.Generator,
                               y_step: float | None = None,
                               v_step: float | None = None) -> np.ndarray:
@@ -240,13 +230,6 @@ def sample_fixed_level_limits(alpha: float, j: int, n_draws: int, rng: np.random
     table[1:] = (1.0 - y_mid) ** (alpha * (j - 1))
     scores, _ = _accumulate_crossings(alpha, n_draws, 1.0, y_step, v_step, [table], rng)
     return scores[0] * v_step
-
-
-def sample_fixed_level_limit(alpha: float, j: int, rng: np.random.Generator,
-                             y_step: float | None = None,
-                             v_step: float | None = None) -> float:
-    """One draw of the depth-j fixed-level limit."""
-    return float(sample_fixed_level_limits(alpha, j, 1, rng, y_step, v_step)[0])
 
 
 def self_similarity_check(alpha: float, j: float, n_draws: int,

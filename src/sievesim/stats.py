@@ -17,6 +17,8 @@ def ks_two_sample(a, b) -> float:
     b = np.sort(np.asarray(b, dtype=float))
     if a.size == 0 or b.size == 0:
         raise ValueError("both samples must be nonempty")
+    if not (np.all(np.isfinite(a)) and np.all(np.isfinite(b))):
+        raise ValueError("both samples must be finite")
     pooled = np.concatenate([a, b])
     cdf_a = np.searchsorted(a, pooled, side="right") / a.size
     cdf_b = np.searchsorted(b, pooled, side="right") / b.size

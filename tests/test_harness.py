@@ -12,7 +12,6 @@ from sievesim.distributions import ModelParams, WLaw
 from sievesim.harness import (
     ExperimentConfig,
     Report,
-    SampleSet,
     emit,
     limit_mean_oracle,
     run_appendix_checks,
@@ -65,10 +64,12 @@ class TestKsTwoSample:
 
 class TestSampleSet:
     def test_rejects_empty_and_nonfinite(self):
-        with pytest.raises(ValueError):
-            SampleSet("x", np.array([]))
-        with pytest.raises(ValueError):
-            SampleSet("x", np.array([1.0, np.nan]))
+        # the guard sits where every KS distance is computed, on both samples
+        for bad in (np.array([]), np.array([1.0, np.nan]), np.array([np.inf])):
+            with pytest.raises(ValueError):
+                ks_two_sample(bad, [1.0])
+            with pytest.raises(ValueError):
+                ks_two_sample([1.0], bad)
 
 
 class TestConfigValidation:
@@ -158,9 +159,20 @@ class TestRunners:
         names = {c["name"] for c in rep.checks}
         assert "bias_fraction<=0.01" in names
         assert any(n.startswith("mean_within_15pct") for n in names)
-        assert f"normalized(log_n=25,u=1)" in rep.sample_sets
+        assert "mean(log_n=25,u=1)" in rep.summary
         assert len([r for r in rep.rows
                     if r["experiment"] == "theorem-main/count"]) == 2 * 150
+
+    def test_theorem_main_reports_bias_through_its_check(self):
+        # pruning at 1/(e^2 n) leaves a bias bound far above 1% of the count;
+        # the run must finish and fail its check, not abort
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            rep = run_theorem_main(small_config(log_n_list=(25.0,), j_list=(2,),
+                                                threshold_rule="offset:-2"))
+        check = next(c for c in rep.checks if c["name"] == "bias_fraction<=0.01")
+        assert not check["passed"]
+        assert check["value"] == pytest.approx(1.81, abs=0.01)
 
     def test_theorem_main_rejects_pareto(self):
         cfg = small_config(params=ModelParams(law=WLaw.PARETO))
@@ -253,6 +265,31 @@ class TestCli:
         assert cfg.seed == 9
         assert cfg.log_n_list == (25.0, 50.0)
         assert cfg.j_list == (2, 2)
+
+    def test_config_file_sets_every_field(self, tmp_path):
+        cfg_file = tmp_path / "run.cfg"
+        cfg_file.write_text("case=b\nkappa=2\nlimit_draws=300\ngrid_replicas=500\n"
+                            "fixed_level_js=4,16\nthreshold_rule=offset:3\n"
+                            "step=0.001\nworkers=2\nformat=json\nlog_n_list=25,50\n"
+                            "j_list=2\n")
+        cfg = cli._build_config(cli._merged_settings(
+            cli._parse_args(["occupancy", "--config", str(cfg_file)])))
+        assert cfg.params == ModelParams(law=WLaw.GAMMA_MIXTURE, kappa=2.0)
+        assert (cfg.limit_draws, cfg.grid_replicas) == (300, 500)
+        assert cfg.fixed_level_js == (4, 16)
+        assert all(type(j) is int for j in cfg.fixed_level_js)
+        assert cfg.threshold_rule == "offset:3" and cfg.grid_step_frac == 0.001
+        assert (cfg.workers, cfg.fmt) == (2, "json")
+        assert cfg.log_n_list == (25.0, 50.0) and cfg.j_list == (2, 2)
+
+    def test_unknown_config_key_rejected(self, tmp_path):
+        for line in ("repicas=9999", "horizon=300", "params=x", "out_dir=x"):
+            cfg_file = tmp_path / "run.cfg"
+            cfg_file.write_text(f"replicas=150\n{line}\n")
+            settings_ = cli._merged_settings(
+                cli._parse_args(["occupancy", "--config", str(cfg_file)]))
+            with pytest.raises(ValueError, match=line.split("=")[0]):
+                cli._build_config(settings_)
 
     def test_failing_check_nonzero_exit(self, tmp_path, monkeypatch):
         # a run whose checks fail must exit 1

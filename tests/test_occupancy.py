@@ -7,7 +7,6 @@ import pytest
 from sievesim.distributions import ModelParams
 from sievesim.occupancy import (
     count_N_j,
-    dump_tree_csv,
     expand_tree,
     normalize_counts,
     occupancy_poissonized,
@@ -200,7 +199,7 @@ class TestPoissonized:
 class TestNormalizeCounts:
     def test_formula_depth_one(self, small_tree, case_a, consts_a):
         res = occupancy_poissonized(small_tree, 15.0, substream(30, 0))
-        got = normalize_counts(res, case_a, consts_a, 1, 1.0)
+        got = normalize_counts(res.counts[0], 15.0, case_a, consts_a, 1, 1.0)
         expected = case_a.c * res.counts[0] / 15.0 ** 0.5
         assert got == pytest.approx(expected, rel=1e-12)
 
@@ -208,32 +207,13 @@ class TestNormalizeCounts:
         res = occupancy_poissonized(small_tree, 15.0, substream(30, 1))
         p1 = ModelParams(c=1.0)
         p2 = ModelParams(c=2.0)
-        v1 = normalize_counts(res, p1, consts_a, 2, 1.0)
-        v2 = normalize_counts(res, p2, consts_a, 2, 1.0)
+        v1 = normalize_counts(res.counts[1], 15.0, p1, consts_a, 2, 1.0)
+        v2 = normalize_counts(res.counts[1], 15.0, p2, consts_a, 2, 1.0)
         assert v2 == pytest.approx(2.0 * v1, rel=1e-12)
 
-    def test_level_errors(self, small_tree, case_a, consts_a):
-        res = occupancy_poissonized(small_tree, 15.0, substream(30, 2))
+    def test_level_errors(self, case_a, consts_a):
         with pytest.raises(ValueError):
-            normalize_counts(res, case_a, consts_a, 1, 0.5)  # floor(j u) = 0
-        with pytest.raises(ValueError):
-            normalize_counts(res, case_a, consts_a, 4, 1.0)  # beyond depth
+            normalize_counts(5, 15.0, case_a, consts_a, 1, 0.5)  # floor(j u) = 0
 
     def test_zero_count(self, case_a, consts_a):
-        from sievesim.occupancy import OccupancyResult
-
-        res = OccupancyResult(log_n=10.0, counts=np.array([0]),
-                              pruned_bias_bound=np.array([0.0]), mode="poisson")
-        assert normalize_counts(res, case_a, consts_a, 1, 1.0) == 0.0
-
-
-class TestDump:
-    def test_csv_shape_and_determinism(self, small_tree, tmp_path):
-        p1, p2 = tmp_path / "t1.csv", tmp_path / "t2.csv"
-        dump_tree_csv(small_tree, p1)
-        dump_tree_csv(small_tree, p2)
-        assert p1.read_bytes() == p2.read_bytes()
-        lines = p1.read_text().splitlines()
-        assert lines[0] == "level,parent,neglog_weight"
-        n_nodes = sum(small_tree.level_size(j) for j in (1, 2, 3))
-        assert len(lines) == 1 + n_nodes
+        assert normalize_counts(0, 10.0, case_a, consts_a, 1, 1.0) == 0.0

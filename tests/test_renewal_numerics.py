@@ -298,13 +298,3 @@ class TestGridFunction:
             g(2.0)
         with pytest.raises(ValueError):
             g(-0.5)
-
-    def test_csv_dump_deterministic(self, tmp_path):
-        g = GridFunction(step=0.5, values=np.array([0.0, 1.0, 2.0]), kind="V")
-        p1, p2 = tmp_path / "a.csv", tmp_path / "b.csv"
-        g.to_csv(p1)
-        g.to_csv(p2)
-        assert p1.read_bytes() == p2.read_bytes()
-        lines = p1.read_text().splitlines()
-        assert lines[0] == "t,value,kind,j"
-        assert len(lines) == 4

@@ -14,7 +14,6 @@ from sievesim.stable_paths import (
     inverse_mean_coef,
     invert_path,
     sample_fixed_level_limits,
-    sample_limit_integral,
     sample_limit_integrals,
     sample_subordinator_path,
     self_similarity_check,
@@ -119,9 +118,9 @@ class TestLimitIntegral:
         assert np.all(np.diff(vals, axis=1) <= 0)
 
     def test_single_draw_interface(self, rng):
-        vals, tails = sample_limit_integral(0.5, [1.0], rng)
-        assert vals.shape == (1,) and tails.shape == (1,)
-        assert vals[0] > 0
+        vals, tails = sample_limit_integrals(0.5, [1.0], 1, rng)
+        assert vals.shape == (1, 1) and tails.shape == (1, 1)
+        assert vals[0, 0] > 0
 
     def test_truncation_gate(self, rng):
         with pytest.raises(ValueError, match="truncation too coarse"):
