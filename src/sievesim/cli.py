@@ -120,6 +120,9 @@ def main(argv=None) -> int:
     args = _parse_args(sys.argv[1:] if argv is None else argv)
     settings = _merged_settings(args)
     if args.command == "appendix":
+        for key in settings:
+            if key not in ("seed", "fmt"):
+                raise ValueError(f"appendix takes only seed and format, not {key!r}")
         report = harness.run_appendix_checks(int(settings.get("seed",
                                                               harness.DEFAULT_SEED)))
         fmt = str(settings.get("fmt", "both"))

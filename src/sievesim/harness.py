@@ -194,14 +194,19 @@ def _replicate(kernel, static, config: ExperimentConfig, tag: int, sub: int) -> 
     return [np.concatenate(parts) for parts in zip(*results)]
 
 
+def _grid(config: ExperimentConfig, estimate, sub: int) -> GridFunction:
+    """estimate (estimate_U or estimate_V) on the grid [0, max log_n] of step
+    grid_step_frac * max log_n, from substream (seed, _TAG_GRID, sub)."""
+    horizon = max(config.log_n_list)
+    return estimate(config.params, horizon, horizon * config.grid_step_frac,
+                    config.grid_replicas, substream(config.seed, _TAG_GRID, sub))
+
+
 def _intensity_powers(config: ExperimentConfig, sub: int, j_max: int):
     """Grid step and the convolution powers V_1..V_j_max of the intensity
-    grid on [0, max log_n], estimated from substream (seed, _TAG_GRID, sub)."""
-    horizon = max(config.log_n_list)
-    step = horizon * config.grid_step_frac
-    v = renewal_numerics.estimate_V(config.params, horizon, step, config.grid_replicas,
-                                    substream(config.seed, _TAG_GRID, sub))
-    return step, renewal_numerics.convolution_powers(v, j_max)
+    grid from substream (seed, _TAG_GRID, sub)."""
+    v = _grid(config, renewal_numerics.estimate_V, sub)
+    return v.step, renewal_numerics.convolution_powers(v, j_max)
 
 
 # ------------------------------------------------------------------- occupancy
@@ -467,14 +472,8 @@ def run_renewal(config: ExperimentConfig) -> Report:
     from .distributions import laplace_xi, sample_w_pair
 
     report = Report("renewal", config.config_hash(), config.seed)
-    horizon = max(config.log_n_list)
-    step = horizon * config.grid_step_frac
-    grid_u = renewal_numerics.estimate_U(config.params, horizon, step,
-                                         config.grid_replicas,
-                                         substream(config.seed, _TAG_GRID, 2))
-    grid_v = renewal_numerics.estimate_V(config.params, horizon, step,
-                                         config.grid_replicas,
-                                         substream(config.seed, _TAG_GRID, 3))
+    grid_u = _grid(config, renewal_numerics.estimate_U, 2)
+    grid_v = _grid(config, renewal_numerics.estimate_V, 3)
     pair = sample_w_pair(config.params, substream(config.seed, _TAG_GRID, 4), 10 ** 6)
     for s in (0.5, 1.0, 2.0):
         phi = float(laplace_xi(config.params, s))
@@ -493,16 +492,11 @@ def run_renewal(config: ExperimentConfig) -> Report:
     return report
 
 
-def run_verify_bounds(config: ExperimentConfig, j_max: int = 6,
-                      grid_v: GridFunction | None = None) -> Report:
-    """Fit the two-term residual and verify every convolution-power bound."""
+def run_verify_bounds(config: ExperimentConfig) -> Report:
+    """Fit the two-term residual and verify the bounds of V_1..V_6."""
     report = Report("verify-bounds", config.config_hash(), config.seed)
-    horizon = max(config.log_n_list)
-    step = horizon * config.grid_step_frac
-    if grid_v is None:
-        grid_v = renewal_numerics.estimate_V(config.params, horizon, step,
-                                             config.grid_replicas,
-                                             substream(config.seed, _TAG_GRID, 3))
+    j_max = 6
+    grid_v = _grid(config, renewal_numerics.estimate_V, 3)
     consts = constants(config.params)
     consts.residual_coef = renewal_numerics.fit_two_term(
         grid_v, consts.renewal_coef, consts.alpha, consts.residual_exp)
@@ -515,7 +509,7 @@ def run_verify_bounds(config: ExperimentConfig, j_max: int = 6,
     report.summary["uniform_sups"] = {str(j): v for j, v in chain.uniform_sups.items()}
     report.add_check("bound_chain_zero_violations", len(chain.violations), 0,
                      chain.passed)
-    if horizon >= 100.0 + step and j_max >= 4:
+    if max(config.log_n_list) >= 100.0 + grid_v.step:
         sup4 = renewal_numerics.uniform_ratio_sup(powers, consts, 4, 100.0)
         report.summary["uniform_sup_j4_from_100"] = sup4
         report.add_check("uniform_sup_j4(y>=100)<=0.2", sup4, 0.2, sup4 <= 0.2)

@@ -81,31 +81,40 @@ def _count_grid_mc(draw_points, horizon: float, step: float, n_replicas: int,
                    rng: np.random.Generator, origin_mass: bool):
     """Monte Carlo mean and SE of a counting process on the grid.
 
-    draw_points(n_active, rng) -> (points_to_bin or None, increments) drives
+    draw_points(s_active, rng) -> (points_to_bin, increments) drives
     a vectorized wave: each wave bins the new points of every active replica
     and advances the walks; replicas leave once their walk passes the horizon.
+
+    Only the (replica, bin) pairs of the points are kept, never a replicas x
+    bins matrix.  Sorted by bin within each replica, the k-th point of a
+    replica (k = 1, 2, ...) adds 1 to its count N(t) and 2k - 1 to N(t)^2 at
+    every grid point t at or after its bin, since N(t)^2 = sum over
+    k <= N(t) of 2k - 1.  All sums are integers below 2^53, so they are
+    exact in float64.  Replicas run in batches of _BATCH, which fixes the
+    sizes of the draw_points calls and hence the random stream.
     """
     nbin = int(round(horizon / step))
     total = np.zeros(nbin + 1)
     totsq = np.zeros(nbin + 1)
     for start in range(0, n_replicas, _BATCH):
         nb = min(_BATCH, n_replicas - start)
-        counts = np.zeros((nb, nbin + 1))
-        if origin_mass:
-            counts[:, 0] = 1.0
+        reps = [np.arange(nb)] if origin_mass else []
+        bins = [np.zeros(nb, dtype=np.int64)] if origin_mass else []
         s = np.zeros(nb)
         act = np.arange(nb)
         while act.size:
             pts, inc = draw_points(s[act], rng)
             ok = pts <= horizon
-            if ok.any():
-                idx = np.ceil(pts[ok] / step).astype(np.int64)
-                np.add.at(counts, (act[ok], idx), 1.0)
+            reps.append(act[ok])
+            bins.append(np.ceil(pts[ok] / step).astype(np.int64))
             s[act] += inc
             act = act[s[act] <= horizon]
-        counts = np.cumsum(counts, axis=1)
-        total += counts.sum(axis=0)
-        totsq += (counts ** 2).sum(axis=0)
+        reps, bins = np.concatenate(reps), np.concatenate(bins)
+        order = np.lexsort((bins, reps))
+        reps, bins = reps[order], bins[order]
+        rank = np.arange(reps.size) - np.searchsorted(reps, reps)  # k - 1
+        total += np.cumsum(np.bincount(bins, minlength=nbin + 1))
+        totsq += np.cumsum(np.bincount(bins, weights=2 * rank + 1, minlength=nbin + 1))
     mean = total / n_replicas
     var = np.maximum(totsq / n_replicas - mean ** 2, 0.0)
     se = np.sqrt(var / max(n_replicas - 1, 1))

@@ -123,8 +123,8 @@ def _accumulate_crossings(alpha, n_paths, y_horizon, y_step, v_step, tables, rng
             below = zp <= y_horizon
             idx = np.where(below, np.minimum(np.ceil(zp / y_step), m).astype(np.int64), 0)
             for i, table in enumerate(tables):
-                np.add.at(acc[i], act, np.where(below, table[idx], 0.0).sum(axis=1))
-            np.add.at(cnt, act, below.sum(axis=1))
+                acc[i, act] += np.where(below, table[idx], 0.0).sum(axis=1)
+            cnt[act] += below.sum(axis=1)
             z[act] = zp[:, -1]
             act = act[z[act] <= y_horizon]
         scores[:, start:start + nb] = acc

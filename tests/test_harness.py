@@ -291,6 +291,15 @@ class TestCli:
             with pytest.raises(ValueError, match=line.split("=")[0]):
                 cli._build_config(settings_)
 
+    def test_appendix_rejects_settings_it_ignores(self, tmp_path):
+        with pytest.raises(ValueError, match="'replicas'"):
+            cli.main(["appendix", "--replicas", "5", "--out", str(tmp_path)])
+        cfg_file = tmp_path / "run.cfg"
+        cfg_file.write_text("seed=3\nsed=4\n")
+        with pytest.raises(ValueError, match="'sed'"):
+            cli.main(["appendix", "--config", str(cfg_file), "--out", str(tmp_path)])
+        assert not (tmp_path / "appendix_summary.json").exists()
+
     def test_failing_check_nonzero_exit(self, tmp_path, monkeypatch):
         # a run whose checks fail must exit 1
         rep = Report("demo", "x", 1)

@@ -8,7 +8,9 @@ from scipy.stats import binom
 
 from sievesim.distributions import ModelParams, WLaw, constants, laplace_xi, sample_w_pair
 from sievesim.renewal_numerics import (
+    _BATCH,
     GridFunction,
+    _count_grid_mc,
     check_u_equation,
     check_vj_bound_chain,
     convolution_powers,
@@ -96,6 +98,64 @@ class TestEstimation:
         ratio = lambda tt: (v(tt) / (consts_a.renewal_coef * math.sqrt(tt)))
         assert ratio(400.0) - 1.0 < ratio(100.0) - 1.0 < ratio(25.0) - 1.0
         assert ratio(400.0) == pytest.approx(1.0, abs=0.08)
+
+
+def dense_count_grid(draw_points, horizon, step, n_replicas, rng, origin_mass):
+    """Reference for _count_grid_mc: a dense replicas x bins count matrix per
+    batch, cumsummed along the bins."""
+    nbin = int(round(horizon / step))
+    total, totsq = np.zeros(nbin + 1), np.zeros(nbin + 1)
+    for start in range(0, n_replicas, _BATCH):
+        nb = min(_BATCH, n_replicas - start)
+        counts = np.zeros((nb, nbin + 1))
+        counts[:, 0] = 1.0 if origin_mass else 0.0
+        s, act = np.zeros(nb), np.arange(nb)
+        while act.size:
+            pts, inc = draw_points(s[act], rng)
+            ok = pts <= horizon
+            np.add.at(counts, (act[ok], np.ceil(pts[ok] / step).astype(np.int64)), 1.0)
+            s[act] += inc
+            act = act[s[act] <= horizon]
+        counts = np.cumsum(counts, axis=1)
+        total += counts.sum(axis=0)
+        totsq += (counts ** 2).sum(axis=0)
+    mean = total / n_replicas
+    var = np.maximum(totsq / n_replicas - mean ** 2, 0.0)
+    return mean, np.sqrt(var / max(n_replicas - 1, 1))
+
+
+def draw_v_style(s_active, rng_):
+    # perturbed-walk points T = S + eta arrive out of order within a replica
+    pair = sample_w_pair(ModelParams(), rng_, s_active.size)
+    return s_active + pair.neglog_1mw, pair.neglog_w
+
+
+def draw_u_style(s_active, rng_):
+    xi = rng_.exponential(1.0, s_active.size)
+    return s_active + xi, xi
+
+
+def draw_lattice(s_active, rng_):
+    # integer points and increments, some zero: several points share a unit bin
+    inc = rng_.integers(0, 2, s_active.size).astype(float)
+    return s_active + rng_.integers(0, 3, s_active.size), inc
+
+
+class TestCountGridOracle:
+    @pytest.mark.parametrize("draw, horizon, step, n_replicas, origin_mass", [
+        (draw_v_style, 20.0, 20.0 / 256, 600, False),
+        (draw_u_style, 20.0, 20.0 / 256, 600, True),
+        (draw_lattice, 30.0, 1.0, 600, False),
+        (draw_v_style, 5.0, 5.0 / 64, _BATCH + 37, False),
+    ], ids=["out-of-order", "origin-mass", "shared-bins", "batch-boundary"])
+    def test_matches_dense_reference(self, draw, horizon, step, n_replicas, origin_mass):
+        got = _count_grid_mc(draw, horizon, step, n_replicas, substream(21, 0),
+                             origin_mass)
+        want = dense_count_grid(draw, horizon, step, n_replicas, substream(21, 0),
+                                origin_mass)
+        assert np.array_equal(got[0], want[0])
+        assert np.array_equal(got[1], want[1])
+        assert np.all(got[1][1:] > 0.0)  # the squared counts are really exercised
 
 
 class TestTransforms:
