@@ -70,10 +70,8 @@ class OccupancyResult:
     pruned_bias_bound[j-1] bounds the boxes possibly missed through pruning.
     """
 
-    log_n: float
     counts: np.ndarray
     pruned_bias_bound: np.ndarray
-    mode: str  # "exact" | "poisson"
 
 
 def expand_tree(params: ModelParams, max_level: int, threshold: float | None = None,
@@ -182,8 +180,7 @@ def throw_balls_exact(tree: OccupancyTree, n: int, rng: np.random.Generator) -> 
     bucket_balls = counts[nj:]
     level_counts = _propagate_counts(tree, leaf_occupied)
     bias = np.cumsum(bucket_balls).astype(float)
-    return OccupancyResult(log_n=math.log(n), counts=level_counts,
-                           pruned_bias_bound=bias, mode="exact")
+    return OccupancyResult(counts=level_counts, pruned_bias_bound=bias)
 
 
 def occupancy_poissonized(tree: OccupancyTree, log_n: float,
@@ -210,8 +207,7 @@ def occupancy_poissonized(tree: OccupancyTree, log_n: float,
             warnings.warn(
                 f"pruned bias bound at level {j + 1} is {bias[j]:.3g}, more than 1% "
                 f"of the count {level_counts[j]}", RuntimeWarning, stacklevel=2)
-    return OccupancyResult(log_n=log_n, counts=level_counts,
-                           pruned_bias_bound=bias, mode="poisson")
+    return OccupancyResult(counts=level_counts, pruned_bias_bound=bias)
 
 
 def normalize_counts(count, log_n: float, params: ModelParams,

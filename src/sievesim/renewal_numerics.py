@@ -40,14 +40,11 @@ _BATCH = 4096
 class GridFunction:
     """A nondecreasing function sampled on the uniform grid 0, h, 2h, ...
 
-    kind is one of "U", "V", "Vj", "generic"; j labels convolution powers.
     se, when present, is the pointwise Monte Carlo standard error.
     """
 
     step: float
     values: np.ndarray
-    kind: str = "generic"
-    j: int | None = None
     se: np.ndarray | None = None
 
     def __post_init__(self):
@@ -135,7 +132,7 @@ def estimate_V(params: ModelParams, horizon: float, step: float, n_replicas: int
 
     mean, se = _count_grid_mc(draw_points, horizon, step, n_replicas, rng,
                               origin_mass=False)
-    return GridFunction(step=step, values=mean, kind="V", se=se)
+    return GridFunction(step=step, values=mean, se=se)
 
 
 def estimate_U(params: ModelParams, horizon: float, step: float, n_replicas: int,
@@ -150,7 +147,7 @@ def estimate_U(params: ModelParams, horizon: float, step: float, n_replicas: int
 
     mean, se = _count_grid_mc(draw_points, horizon, step, n_replicas, rng,
                               origin_mass=True)
-    return GridFunction(step=step, values=mean, kind="U", se=se)
+    return GridFunction(step=step, values=mean, se=se)
 
 
 def convolve(a: GridFunction, b: GridFunction) -> GridFunction:
@@ -169,18 +166,16 @@ def convolve(a: GridFunction, b: GridFunction) -> GridFunction:
     db = np.diff(b.values[:n])
     out = np.zeros(n)
     out[1:] = np.convolve(a_mid, db)[:n - 1]
-    return GridFunction(step=a.step, values=out, kind="generic")
+    return GridFunction(step=a.step, values=out)
 
 
 def convolution_powers(v: GridFunction, j_max: int) -> list[GridFunction]:
     """[V_1, ..., V_(j_max)] with V_1 = v and V_j = V_(j-1) * V."""
     if j_max < 1:
         raise ValueError("j_max must be at least 1")
-    powers = [GridFunction(step=v.step, values=v.values.copy(), kind="Vj", j=1, se=v.se)]
-    for j in range(2, j_max + 1):
-        nxt = convolve(powers[-1], v)
-        nxt.kind, nxt.j = "Vj", j
-        powers.append(nxt)
+    powers = [GridFunction(step=v.step, values=v.values.copy(), se=v.se)]
+    for _ in range(2, j_max + 1):
+        powers.append(convolve(powers[-1], v))
     return powers
 
 

@@ -1,16 +1,14 @@
-"""Paths of the one-sided stable subordinator, its inverse, and limit-law samplers.
+"""First passage of the one-sided stable subordinator and limit-law samplers.
 
 Everything here uses the standard subordinator normalized so that the
 log-Laplace transform of the value at time 1 is -Gamma(1-alpha) * s^alpha.
-Inverse (first-passage) paths are computed on grids; the discretization of
+Every sampler grows subordinator paths through one wave kernel,
+_accumulate_crossings, and computes first passages on grids; the discretization of
 an inverse value is one-sided (biased upward by at most one time step) and
 the samplers report explicit truncation bounds where they truncate.
 """
 
 from __future__ import annotations
-
-import math
-from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import gamma as gamma_fn
@@ -18,10 +16,6 @@ from scipy.special import gamma as gamma_fn
 from .distributions import sample_positive_stable
 
 __all__ = [
-    "SubordinatorPath",
-    "InversePath",
-    "sample_subordinator_path",
-    "invert_path",
     "inverse_at_level",
     "inverse_marginal_exact",
     "inverse_mean_coef",
@@ -34,65 +28,9 @@ __all__ = [
 _WAVE = 256  # increments drawn per path per vectorized round
 
 
-@dataclass
-class SubordinatorPath:
-    """Subordinator values on a uniform time grid, starting at 0."""
-
-    step: float
-    values: np.ndarray
-
-    def __post_init__(self):
-        if self.values[0] != 0.0:
-            raise ValueError("subordinator path must start at 0")
-        if not np.all(np.diff(self.values) > 0.0):
-            raise ValueError("subordinator path must be strictly increasing")
-
-
-@dataclass
-class InversePath:
-    """First-passage times of a subordinator over a uniform level grid."""
-
-    y_step: float
-    values: np.ndarray
-
-    def __post_init__(self):
-        if self.values[0] < 0.0 or np.any(np.diff(self.values) < 0.0):
-            raise ValueError("inverse path must be nonnegative and nondecreasing")
-
-
 def inverse_mean_coef(alpha: float) -> float:
     """Coefficient k with E[inverse(y)] = k * y^alpha for the standard subordinator."""
     return 1.0 / (gamma_fn(1.0 - alpha) * gamma_fn(1.0 + alpha))
-
-
-def sample_subordinator_path(alpha: float, horizon_v: float, step: float,
-                             rng: np.random.Generator) -> SubordinatorPath:
-    """Path on [0, horizon_v] from iid stationary stable increments."""
-    if not step > 0.0:
-        raise ValueError(f"step must be positive, got {step}")
-    if horizon_v < step:
-        raise ValueError("horizon_v must be at least one step")
-    n = int(math.ceil(horizon_v / step))
-    inc = sample_positive_stable(alpha, step, rng, n)
-    values = np.concatenate([[0.0], np.cumsum(inc)])
-    return SubordinatorPath(step=step, values=values)
-
-
-def invert_path(path: SubordinatorPath, y_horizon: float, y_step: float) -> InversePath:
-    """First passage over levels 0, y_step, ..., y_horizon.
-
-    values[m] is the smallest grid time v with path(v) > m*y_step.  Queries
-    are monotone and the path is sorted, so vectorized bisection is cheap.
-    """
-    if not y_step > 0.0:
-        raise ValueError("y_step must be positive")
-    if path.values[-1] <= y_horizon:
-        raise ValueError(
-            f"path too short: final value {path.values[-1]:.6g} has not crossed {y_horizon:.6g}")
-    m = int(math.floor(y_horizon / y_step + 1e-9))
-    y_grid = np.arange(m + 1) * y_step
-    k = np.searchsorted(path.values, y_grid, side="right")
-    return InversePath(y_step=y_step, values=k * path.step)
 
 
 def _accumulate_crossings(alpha, n_paths, y_horizon, y_step, v_step, tables, rng,

@@ -33,17 +33,10 @@ def rank_correlation(a, b) -> float:
         raise ValueError("samples must have equal size >= 2")
 
     def midranks(x):
-        order = np.argsort(x, kind="mergesort")
-        ranks = np.empty(x.size)
-        sx = x[order]
-        i = 0
-        while i < x.size:
-            k = i
-            while k + 1 < x.size and sx[k + 1] == sx[i]:
-                k += 1
-            ranks[order[i:k + 1]] = 0.5 * (i + k) + 1.0
-            i = k + 1
-        return ranks
+        # tied values share the mean of the 1-based ranks they span
+        _, inverse, counts = np.unique(x, return_inverse=True, return_counts=True)
+        first = np.cumsum(counts) - counts
+        return (first + (counts - 1) / 2 + 1)[inverse]
 
     ra, rb = midranks(a), midranks(b)
     ra -= ra.mean()

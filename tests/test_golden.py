@@ -44,19 +44,24 @@ GOLDEN = {
 
 APPENDIX_SEED = 7
 
+# runners that fan replicas out over chunks: their bytes must not depend on
+# the worker count, so they are also checked against the same digest at 2
+CHUNKED = ("occupancy", "theorem-main", "theorem-2", "theorem-3")
 
-def golden_config() -> harness.ExperimentConfig:
+
+def golden_config(workers: int = 1) -> harness.ExperimentConfig:
     return harness.ExperimentConfig(
         log_n_list=(25, 50), j_list=(2, 2), u_list=(0.6, 1.0), replicas=128,
-        limit_draws=400, grid_replicas=2000, fixed_level_js=(4, 16))
+        limit_draws=400, grid_replicas=2000, fixed_level_js=(4, 16),
+        workers=workers)
 
 
-def run_report(command: str) -> harness.Report:
+def run_report(command: str, workers: int = 1) -> harness.Report:
     if command == "appendix":
         return harness.run_appendix_checks(APPENDIX_SEED)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)
-        return cli._RUNNERS[command](golden_config())
+        return cli._RUNNERS[command](golden_config(workers))
 
 
 def output_digest(report: harness.Report, out_dir) -> str:
@@ -68,12 +73,15 @@ def output_digest(report: harness.Report, out_dir) -> str:
     return h.hexdigest()
 
 
-@pytest.mark.parametrize("command", list(cli._RUNNERS))
-def test_golden_digest(command, tmp_path):
+@pytest.mark.parametrize(
+    "command,workers",
+    [pytest.param(c, 1, id=c) for c in cli._RUNNERS]
+    + [pytest.param(c, 2, id=f"{c}-2workers") for c in CHUNKED])
+def test_golden_digest(command, workers, tmp_path):
     recorded = GOLDEN.get(np.__version__)
     if recorded is None:
         pytest.skip(f"no golden digests recorded for numpy {np.__version__}")
-    assert output_digest(run_report(command), tmp_path) == recorded[command]
+    assert output_digest(run_report(command, workers), tmp_path) == recorded[command]
 
 
 def test_appendix_reruns_byte_identical(tmp_path):

@@ -4,8 +4,8 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
-from scipy.stats import ks_2samp
+from hypothesis import assume, given, settings, strategies as st
+from scipy.stats import ks_2samp, spearmanr
 
 from sievesim import cli, harness
 from sievesim.distributions import ModelParams, WLaw
@@ -56,6 +56,17 @@ class TestKsTwoSample:
         assert ks_two_sample(a, b) == pytest.approx(
             ks_2samp(a, b, method="asymp").statistic, abs=1e-12)
 
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(st.lists(st.tuples(st.integers(-3, 3), st.integers(-3, 3)),
+                    min_size=2, max_size=40))
+    def test_rank_correlation_matches_scipy_with_ties(self, pairs):
+        a = np.array([p[0] for p in pairs], dtype=float)
+        b = np.array([p[1] for p in pairs], dtype=float)
+        # spearmanr is undefined for a constant sample
+        assume(np.ptp(a) > 0 and np.ptp(b) > 0)
+        assert rank_correlation(a, b) == pytest.approx(
+            spearmanr(a, b).statistic, abs=1e-12)
+
     def test_rank_correlation_perfect(self):
         a = np.array([1.0, 2.0, 3.0, 4.0])
         assert rank_correlation(a, 2 * a) == pytest.approx(1.0)
@@ -87,6 +98,12 @@ class TestConfigValidation:
         with pytest.warns(RuntimeWarning, match="cap"):
             ExperimentConfig(log_n_list=(100.0,), j_list=(4,), u_list=(1.0,),
                              replicas=150)
+
+    def test_default_depths_do_not_warn(self):
+        # the default depth rule is the paper's own choice, not the caller's
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            ExperimentConfig()
 
     def test_floor_ju_rejected(self):
         with pytest.raises(ValueError, match="floor"):

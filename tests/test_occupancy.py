@@ -111,8 +111,6 @@ class TestThrowBallsExact:
         total = res.counts + (res.pruned_bias_bound > 0)
         assert np.all(res.counts <= 1)
         assert np.all(total >= res.counts)
-        assert res.mode == "exact"
-        assert res.log_n == 0.0
 
     def test_nesting_and_ball_bound(self, small_tree):
         rng = substream(27, 1)

@@ -6,16 +6,12 @@ from scipy.integrate import quad
 
 from sievesim.distributions import sample_positive_stable
 from sievesim.stable_paths import (
-    InversePath,
-    SubordinatorPath,
     default_limit_grid,
     inverse_at_level,
     inverse_marginal_exact,
     inverse_mean_coef,
-    invert_path,
     sample_fixed_level_limits,
     sample_limit_integrals,
-    sample_subordinator_path,
     self_similarity_check,
 )
 from sievesim.stats import ks_two_sample
@@ -31,18 +27,6 @@ def limit_mean_quadrature(alpha, u):
 
 
 class TestSubordinatorPath:
-    def test_starts_at_zero_strictly_increasing(self, rng):
-        path = sample_subordinator_path(0.5, 2.0, 0.01, rng)
-        assert path.values[0] == 0.0
-        assert np.all(np.diff(path.values) > 0)
-        assert path.values.size == 201
-
-    def test_parameter_validation(self, rng):
-        with pytest.raises(ValueError):
-            sample_subordinator_path(0.5, 2.0, 0.0, rng)
-        with pytest.raises(ValueError):
-            sample_subordinator_path(0.5, 0.005, 0.01, rng)
-
     def test_infinite_divisibility(self, rng):
         # two half-step increments vs one full-step increment
         full = sample_positive_stable(0.5, 0.2, rng, 10 ** 5)
@@ -60,26 +44,6 @@ class TestSubordinatorPath:
 
 
 class TestInvertPath:
-    def test_first_level_in_one_step(self, rng):
-        path = sample_subordinator_path(0.5, 4.0, 0.01, rng)
-        inv = invert_path(path, 1.0, 0.05)
-        assert 0.0 <= inv.values[0] <= path.step  # level 0 crossed by the first jump
-
-    def test_round_trip(self, rng):
-        path = sample_subordinator_path(0.5, 6.0, 1e-3, rng)
-        y_step = 0.02
-        inv = invert_path(path, 2.0, y_step)
-        grid_y = np.arange(inv.values.size) * y_step
-        k = np.round(inv.values / path.step).astype(int)
-        assert np.all(path.values[k] > grid_y)
-        assert np.all(path.values[np.maximum(k - 1, 0)] <= grid_y + 1e-12)
-        assert np.all(np.diff(inv.values) >= 0)
-
-    def test_path_too_short(self, rng):
-        path = sample_subordinator_path(0.5, 0.5, 0.01, rng)
-        with pytest.raises(ValueError, match="path too short"):
-            invert_path(path, float(path.values[-1]) + 1.0, 0.1)
-
     def test_marginal_duality(self, rng):
         # grid first passage at level 1 vs the exact marginal (1/Z(1))^alpha
         draws = inverse_at_level(0.5, 1.0, 10 ** 5, rng, v_step=2e-3)
@@ -191,14 +155,3 @@ class TestSelfSimilarity:
         with pytest.raises(ValueError):
             self_similarity_check(0.5, 0.0, 10, rng)
 
-
-class TestDataclasses:
-    def test_subordinator_validation(self):
-        with pytest.raises(ValueError):
-            SubordinatorPath(step=0.1, values=np.array([0.5, 1.0]))
-        with pytest.raises(ValueError):
-            SubordinatorPath(step=0.1, values=np.array([0.0, 1.0, 0.5]))
-
-    def test_inverse_validation(self):
-        with pytest.raises(ValueError):
-            InversePath(y_step=0.1, values=np.array([0.2, 0.1]))
