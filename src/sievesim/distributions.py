@@ -116,13 +116,33 @@ def sample_positive_stable(alpha: float, time_scale: float, rng: np.random.Gener
     -time_scale * Gamma(1-alpha) * s^alpha.
 
     Exact Kanter construction from one uniform and one exponential draw;
-    no series truncation.  Returns a scalar for size=None.
+    no series truncation.  At alpha = 1/2 it collapses exactly to
+    pi time_scale^2 / (4 E cos^2(pi U / 2)), the Levy law
+    pi time_scale^2 / (2 N^2) with N = sqrt(2E) cos(pi U / 2) built by
+    Box-Muller from the same two draws; that closed form is evaluated
+    there.  Returns a scalar for size=None.
     """
     _validate_alpha(alpha)
     if not time_scale > 0.0:
         raise ValueError(f"time_scale must be positive, got {time_scale}")
     scalar = size is None
     n = 1 if scalar else size
+    if alpha == 0.5:
+        out = rng.random(n)
+        e = np.maximum(rng.standard_exponential(n), _TINY)
+        out *= np.pi / 2
+        np.cos(out, out=out)
+        np.square(out, out=out)
+        out *= e
+        np.divide(np.pi / 4 * time_scale ** 2, out, out=out)
+    else:
+        out = _kanter(alpha, time_scale, rng, n)
+    return float(out[0]) if scalar else out
+
+
+def _kanter(alpha: float, time_scale: float, rng: np.random.Generator, n):
+    """Kanter's representation for any alpha in (0,1), on n draws each of a
+    uniform and then an exponential."""
     u = np.pi * rng.random(n)
     u = np.maximum(u, 1e-100)  # sin terms vanish at 0; the event has probability 0
     e = np.maximum(rng.standard_exponential(n), _TINY)
@@ -131,8 +151,7 @@ def sample_positive_stable(alpha: float, time_scale: float, rng: np.random.Gener
              - np.log(np.sin(u))) / (1.0 - alpha)
     log_std = (1.0 - alpha) / alpha * (log_a - np.log(e))
     log_scale = (math.log(time_scale) + math.log(gamma_fn(1.0 - alpha))) / alpha
-    out = np.exp(log_scale + log_std)
-    return float(out[0]) if scalar else out
+    return np.exp(log_scale + log_std)
 
 
 def sample_xi(params: ModelParams, rng: np.random.Generator, size=None):
@@ -160,16 +179,19 @@ def w_pair_from_xi(xi):
     positive double so it is never exactly 0.
     """
     xi_arr = np.asarray(xi, dtype=float)
+    scalar = xi_arr.ndim == 0
+    xi_arr = np.atleast_1d(xi_arr)
     w = np.exp(-xi_arr)
+    eta = np.negative(w)
     with np.errstate(divide="ignore", invalid="ignore"):
-        eta = np.where(
-            w >= 1.0,
-            -np.log(np.maximum(xi_arr, _TINY)),
-            -np.log1p(-w),
-        )
-    eta = np.maximum(eta, _TINY)
-    if np.isscalar(xi) or xi_arr.ndim == 0:
-        return WPair(w=float(w), neglog_w=float(xi_arr), neglog_1mw=float(eta))
+        np.log1p(eta, out=eta)
+    np.negative(eta, out=eta)
+    near_one = w >= 1.0
+    if near_one.any():
+        eta[near_one] = -np.log(np.maximum(xi_arr[near_one], _TINY))
+    np.maximum(eta, _TINY, out=eta)
+    if scalar:
+        return WPair(w=float(w[0]), neglog_w=float(xi_arr[0]), neglog_1mw=float(eta[0]))
     return WPair(w=w, neglog_w=xi_arr, neglog_1mw=eta)
 
 

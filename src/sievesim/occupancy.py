@@ -55,12 +55,6 @@ class OccupancyTree:
         """P-mass of pruned stubs reachable at level j (levels 1..j)."""
         return float(np.sum(self.pruned_at[:j]))
 
-    def check_conservation(self, atol: float = 1e-9) -> None:
-        for j in range(1, self.max_level + 1):
-            total = float(np.sum(np.exp(-self.neglogs[j - 1]))) + self.pruned_mass(j)
-            if total > 1.0 + atol or total < 1.0 - 1e-6:
-                raise AssertionError(f"mass at level {j} off: {total}")
-
 
 @dataclass
 class OccupancyResult:
@@ -112,23 +106,28 @@ def expand_tree(params: ModelParams, max_level: int, threshold: float | None = N
         child_parent: list[np.ndarray] = []
         child_neglog: list[np.ndarray] = []
         pruned = 0.0
-        stick = np.zeros(parent_neglog.size)  # running sum of |log W| per node
+        # the nodes still breaking sticks: ordinal, -log mass, running sum of |log W|
         act = np.arange(parent_neglog.size)
+        base = parent_neglog
+        stick = np.zeros(act.size)
         while act.size:
             pair = sample_w_pair(params, rng, act.size)
-            born = parent_neglog[act] + stick[act] + pair.neglog_1mw
+            born = base + stick
+            born += pair.neglog_1mw
             keep = born <= t_star
-            if keep.any():
+            kept = np.count_nonzero(keep)
+            if kept:
                 child_parent.append(act[keep])
                 child_neglog.append(born[keep])
-            if not keep.all():
+            if kept < keep.size:
                 pruned += float(np.sum(np.exp(-born[~keep])))
-            stick[act] += pair.neglog_w
-            residual = parent_neglog[act] + stick[act]
+            stick += pair.neglog_w
+            residual = base + stick
             done = residual > t_star
             if done.any():
                 pruned += float(np.sum(np.exp(-residual[done])))
-            act = act[~done]
+                live = np.flatnonzero(~done)  # one scan serves the three gathers
+                act, base, stick = act[live], base[live], stick[live]
         if child_parent:
             parents.append(np.concatenate(child_parent))
             neglogs.append(np.concatenate(child_neglog))
@@ -194,8 +193,14 @@ def occupancy_poissonized(tree: OccupancyTree, log_n: float,
     """
     if not log_n > 0.0:
         raise ValueError("log_n must be positive")
-    arg = log_n - tree.neglogs[tree.max_level - 1]
-    p = np.where(arg > 36.0, 1.0, -np.expm1(-np.exp(np.minimum(arg, 36.0))))
+    # p = 1 - exp(-exp(log_n - neglog)); capping the exponent at 36 is exact,
+    # since -expm1(-exp(36)) is already 1.0, and keeps exp from overflowing
+    p = log_n - tree.neglogs[tree.max_level - 1]
+    np.minimum(p, 36.0, out=p)
+    np.exp(p, out=p)
+    np.negative(p, out=p)
+    np.expm1(p, out=p)
+    np.negative(p, out=p)
     leaf_occupied = rng.random(p.size) < p
     level_counts = _propagate_counts(tree, leaf_occupied)
     bias = np.empty(tree.max_level)

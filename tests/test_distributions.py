@@ -9,6 +9,7 @@ from scipy.special import erfc, gamma as gamma_fn, gammaln
 from sievesim.distributions import (
     ModelParams,
     WLaw,
+    _kanter,
     constants,
     gamma_ratio_bound_holds,
     laplace_xi,
@@ -19,6 +20,7 @@ from sievesim.distributions import (
     w_pair_from_xi,
 )
 from sievesim.stats import ks_two_sample
+from sievesim.streams import substream
 
 
 def mc_se(x):
@@ -38,6 +40,17 @@ class TestPositiveStable:
         z = sample_positive_stable(0.5, 1.0, rng, 10 ** 5)
         ref = (math.pi / 2) / rng.standard_normal(10 ** 5) ** 2
         assert ks_two_sample(z, ref) <= 0.01
+
+    @pytest.mark.parametrize("time_scale", [1.0, 5e-4])
+    def test_half_matches_kanter_on_same_stream(self, time_scale):
+        # the alpha = 1/2 closed form is Kanter's expression simplified: same
+        # draws in the same order, values equal to rounding
+        rng_half, rng_kanter = substream(46, 0), substream(46, 0)
+        half = sample_positive_stable(0.5, time_scale, rng_half, (1000, 100))
+        kanter = _kanter(0.5, time_scale, rng_kanter, (1000, 100))
+        assert half.shape == (1000, 100)
+        np.testing.assert_allclose(half, kanter, rtol=1e-13, atol=0.0)
+        assert rng_half.random() == rng_kanter.random()
 
     def test_time_scaling(self, rng):
         # Z(c t) has the law of t^(1/alpha) Z(c)
@@ -149,6 +162,19 @@ class TestWPair:
         pair = w_pair_from_xi(xi)
         assert np.all(pair.neglog_1mw > 0)
         assert np.all(np.diff(pair.neglog_1mw) <= 0)  # eta decreasing in xi
+
+    def test_mixed_array_matches_scalar_path(self):
+        # w rounds to 1 at 1e-20 and 1e-17, so eta comes from -log(xi) there;
+        # w underflows to 0 at 800, so eta is floored at the smallest double
+        xi = np.array([1e-20, 0.3, 1e-17, 2.0, 800.0, 1e-8, 40.0])
+        pair = w_pair_from_xi(xi)
+        for k, x in enumerate(xi):
+            one = w_pair_from_xi(float(x))
+            assert (pair.w[k], pair.neglog_w[k], pair.neglog_1mw[k]) == (
+                one.w, one.neglog_w, one.neglog_1mw), f"xi={x}"
+        assert pair.w[2] == 1.0
+        assert pair.neglog_1mw[2] == -math.log(1e-17)
+        assert pair.neglog_1mw[4] == 5e-324
 
     def test_extreme_underflow(self):
         pair = w_pair_from_xi(800.0)

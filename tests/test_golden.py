@@ -24,21 +24,21 @@ GOLDEN = {
         "limit-sample":
             "79223eeed74b47250e7f69769f5e45ffee13a128533873af1e53c761fed8624e",
         "occupancy":
-            "e837a11cf6897a48fb5d08135aee7824ae22acf7b3fb6fb645a4655007c5c20f",
+            "80fba35e2a540758e03c349f440f1cf1aabd7b7eb762f73c977f887ac8cafbba",
         "renewal":
             "3faaa22b59d72cf775dcda27265d39c1c01f393e2f7786f82134ca6b8c381ea4",
         "verify-bounds":
             "ed753574b5085d02d0f357c27d7733548ac2b3ea29252a79af9e92e5226167bf",
         "theorem-main":
-            "f5c2570856a8e74fe8f9516deb423dd3484905a7ff787f85cb65f8f596c2e25f",
+            "59a54d1744fe4632ab002ac339b1fec5b79b64a99f259febc1d50b1340171357",
         "theorem-2":
-            "1ba5e43498ddf7b5329f8a40787493e62195754507df53eecf4b213fa9417080",
+            "62323f96275888b547243e8e1297fca535df8fdb86badb56528d8a4a52d6ab08",
         "theorem-3":
-            "0caaea563df253def5db8f10cbfd2b9a73a1f301dc44366c0afe8d04e33afded",
+            "9fdfc985ddfae9a0756d357890f6ea64f20ffcf7584e242363045f7cb782d82d",
         "fixed-level":
             "e03e442785228b9205fa1e52861b2f8ed19acc5b8a76cb573cc81b463cf5f59e",
         "appendix":
-            "2918cf6e7c974d1b67769da10e5f0f7b4b739b6dfd8e8a3fbb13cb7c174fd03b",
+            "f0bb354e7267070ec88b85bce93d3a2cfd7281efb90784ec211362c1eea931bf",
     },
 }
 

@@ -6,6 +6,7 @@ import pytest
 
 from sievesim.distributions import ModelParams
 from sievesim.occupancy import (
+    OccupancyTree,
     count_N_j,
     expand_tree,
     normalize_counts,
@@ -13,6 +14,13 @@ from sievesim.occupancy import (
     throw_balls_exact,
 )
 from sievesim.streams import substream
+
+
+def check_conservation(tree, atol=1e-9):
+    """Retained mass plus the pruned mass reachable at each level is 1."""
+    for j in range(1, tree.max_level + 1):
+        total = float(np.sum(np.exp(-tree.neglogs[j - 1]))) + tree.pruned_mass(j)
+        assert 1.0 - 1e-6 <= total <= 1.0 + atol, f"mass at level {j} off: {total}"
 
 
 @pytest.fixture
@@ -26,7 +34,7 @@ class TestExpandTree:
                                     ModelParams(alpha=0.8, c=0.5),
                                     ModelParams(alpha=0.3, c=2.0)]):
             tree = expand_tree(params, 3, neglog_threshold=15.0, rng=substream(21, i))
-            tree.check_conservation(atol=1e-9)
+            check_conservation(tree, atol=1e-9)
 
     def test_child_heavier_than_parent_neglog(self, small_tree):
         # every child's -log mass exceeds its parent's; the increment can be
@@ -142,6 +150,19 @@ class TestPoissonized:
             res = occupancy_poissonized(tree, 80.0, substream(28, 2))
         assert res.counts[-1] == tree.level_size(2)
         assert res.counts[0] == tree.level_size(1)
+
+    def test_huge_log_n_is_warning_free(self):
+        # at log n = 1000 the argument log n - neglog far exceeds 36, where
+        # the occupation probability is exactly 1; nothing may overflow
+        neglogs = np.array([1.0, 500.0, 963.0, 1200.0, 1500.0])
+        tree = OccupancyTree(max_level=1, neglog_threshold=1500.0,
+                             parents=[np.zeros(neglogs.size, dtype=np.int64)],
+                             neglogs=[neglogs], pruned_at=np.zeros(1))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            res = occupancy_poissonized(tree, 1000.0, substream(28, 3))
+        # the last two leaves have probability below 1e-80
+        assert res.counts[0] == np.count_nonzero(1000.0 - neglogs > 36.0) == 3
 
     def test_mean_first_level_matches_grid(self, grids400, case_a):
         # Poissonized occupancy at depth 1: the mean count is the intensity
