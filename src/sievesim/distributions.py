@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.integrate import quad
@@ -76,8 +76,8 @@ class DerivedConstants:
     """Constants controlling the growth of mean counts at depth.
 
     renewal_coef is the coefficient of t^alpha in the renewal function;
-    power_coefs[j] is the coefficient of t^(alpha*j) in the j-fold
-    convolution power of the intensity function (power_coefs[0] = 1).
+    exp(log_power_coefs[j]) is the coefficient of t^(alpha*j) in the j-fold
+    convolution power of the intensity function (log_power_coefs[0] = 0).
     residual_exp is the exponent of the two-term remainder bound
     |V(t) - renewal_coef * t^alpha| <= residual_coef * t^residual_exp;
     residual_coef is measured from a grid estimate, not derived.
@@ -90,19 +90,15 @@ class DerivedConstants:
     residual_exp: float
     residual_exp_verified: bool
     residual_coef: float | None = None
-    power_coefs: np.ndarray = field(init=False)
-
-    def __post_init__(self):
-        self.power_coefs = np.exp(self.log_power_coefs)
 
 
 @dataclass
 class WPair:
-    """One draw of W with both negative logs; all fields may be arrays."""
+    """Draws of W with both negative logs, as equal-shape arrays."""
 
-    w: np.ndarray | float
-    neglog_w: np.ndarray | float      # |log W|, strictly positive
-    neglog_1mw: np.ndarray | float    # |log(1-W)|, strictly positive
+    w: np.ndarray
+    neglog_w: np.ndarray      # |log W|, strictly positive
+    neglog_1mw: np.ndarray    # |log(1-W)|, strictly positive
 
 
 def _validate_alpha(alpha: float) -> None:
@@ -111,7 +107,7 @@ def _validate_alpha(alpha: float) -> None:
 
 
 def sample_positive_stable(alpha: float, time_scale: float, rng: np.random.Generator,
-                           size=None):
+                           size) -> np.ndarray:
     """Draw from the one-sided stable law with log-Laplace transform
     -time_scale * Gamma(1-alpha) * s^alpha.
 
@@ -120,24 +116,21 @@ def sample_positive_stable(alpha: float, time_scale: float, rng: np.random.Gener
     pi time_scale^2 / (4 E cos^2(pi U / 2)), the Levy law
     pi time_scale^2 / (2 N^2) with N = sqrt(2E) cos(pi U / 2) built by
     Box-Muller from the same two draws; that closed form is evaluated
-    there.  Returns a scalar for size=None.
+    there.  size is an int or a shape tuple.
     """
     _validate_alpha(alpha)
     if not time_scale > 0.0:
         raise ValueError(f"time_scale must be positive, got {time_scale}")
-    scalar = size is None
-    n = 1 if scalar else size
-    if alpha == 0.5:
-        out = rng.random(n)
-        e = np.maximum(rng.standard_exponential(n), _TINY)
-        out *= np.pi / 2
-        np.cos(out, out=out)
-        np.square(out, out=out)
-        out *= e
-        np.divide(np.pi / 4 * time_scale ** 2, out, out=out)
-    else:
-        out = _kanter(alpha, time_scale, rng, n)
-    return float(out[0]) if scalar else out
+    if alpha != 0.5:
+        return _kanter(alpha, time_scale, rng, size)
+    out = rng.random(size)
+    e = np.maximum(rng.standard_exponential(size), _TINY)
+    out *= np.pi / 2
+    np.cos(out, out=out)
+    np.square(out, out=out)
+    out *= e
+    np.divide(np.pi / 4 * time_scale ** 2, out, out=out)
+    return out
 
 
 def _kanter(alpha: float, time_scale: float, rng: np.random.Generator, n):
@@ -154,24 +147,20 @@ def _kanter(alpha: float, time_scale: float, rng: np.random.Generator, n):
     return np.exp(log_scale + log_std)
 
 
-def sample_xi(params: ModelParams, rng: np.random.Generator, size=None):
+def sample_xi(params: ModelParams, rng: np.random.Generator, size: int) -> np.ndarray:
     """Draw |log W| under the given law."""
-    scalar = size is None
-    n = 1 if scalar else size
     if params.law is WLaw.STABLE:
-        out = sample_positive_stable(params.alpha, params.c, rng, n)
-    elif params.law is WLaw.GAMMA_MIXTURE:
-        z = sample_positive_stable(params.alpha, params.c, rng, n)
-        x = rng.gamma(shape=params.kappa, scale=1.0 / params.kappa, size=n)
-        out = z * x ** (1.0 / params.alpha)
-    else:
-        # exact tail P{xi > t} = min(1, c t^-alpha), support [c^(1/alpha), inf)
-        u = 1.0 - rng.random(n)
-        out = (params.c / u) ** (1.0 / params.alpha)
-    return float(out[0]) if scalar else out
+        return sample_positive_stable(params.alpha, params.c, rng, size)
+    if params.law is WLaw.GAMMA_MIXTURE:
+        z = sample_positive_stable(params.alpha, params.c, rng, size)
+        x = rng.gamma(shape=params.kappa, scale=1.0 / params.kappa, size=size)
+        return z * x ** (1.0 / params.alpha)
+    # exact tail P{xi > t} = min(1, c t^-alpha), support [c^(1/alpha), inf)
+    u = 1.0 - rng.random(size)
+    return (params.c / u) ** (1.0 / params.alpha)
 
 
-def w_pair_from_xi(xi):
+def w_pair_from_xi(xi) -> WPair:
     """Map |log W| draws to a WPair, stable against under/overflow.
 
     For w so close to 1 that 1-w rounds to 0 the complementary log is taken
@@ -179,8 +168,6 @@ def w_pair_from_xi(xi):
     positive double so it is never exactly 0.
     """
     xi_arr = np.asarray(xi, dtype=float)
-    scalar = xi_arr.ndim == 0
-    xi_arr = np.atleast_1d(xi_arr)
     w = np.exp(-xi_arr)
     eta = np.negative(w)
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -190,12 +177,10 @@ def w_pair_from_xi(xi):
     if near_one.any():
         eta[near_one] = -np.log(np.maximum(xi_arr[near_one], _TINY))
     np.maximum(eta, _TINY, out=eta)
-    if scalar:
-        return WPair(w=float(w[0]), neglog_w=float(xi_arr[0]), neglog_1mw=float(eta[0]))
     return WPair(w=w, neglog_w=xi_arr, neglog_1mw=eta)
 
 
-def sample_w_pair(params: ModelParams, rng: np.random.Generator, size=None) -> WPair:
+def sample_w_pair(params: ModelParams, rng: np.random.Generator, size: int) -> WPair:
     """Draw W together with both negative logs."""
     return w_pair_from_xi(sample_xi(params, rng, size))
 
@@ -228,8 +213,8 @@ def constants(params: ModelParams, i_max: int = 256) -> DerivedConstants:
     """Derived constants for the given law, computed in log space.
 
     renewal_coef = 1 / (c * Gamma(1+alpha) * Gamma(1-alpha)); the depth
-    coefficients satisfy power_coefs[0] = 1 and
-    power_coefs[i] = (renewal_coef * Gamma(alpha+1))^i / Gamma(alpha*i + 1).
+    coefficients rho_i = exp(log_power_coefs[i]) satisfy rho_0 = 1 and
+    rho_i = (renewal_coef * Gamma(alpha+1))^i / Gamma(alpha*i + 1).
     The residual exponent is 0 for the stable and gamma-mixture laws; for
     the Pareto stress case it is not derivable and is flagged unverified.
     """

@@ -365,11 +365,9 @@ def _theorem2_chunk(static, rng, size):
     scales = [math.exp(math.log(params.c) + a * math.log(j)
                        - consts.log_power_coefs[level - 1] - a * level * math.log(t))
               for level in levels]
-    norm = np.empty((size, len(u_list)))
-    for r in range(size):
-        walk = perturbed_walk.generate_walk(params, t, rng)
-        for k, (grid, scale) in enumerate(zip(grids, scales)):
-            norm[r, k] = perturbed_walk.weighted_sum_statistic(walk, grid, t) * scale
+    walk = perturbed_walk.generate_walk(params, t, rng, size)
+    norm = np.column_stack([perturbed_walk.weighted_sum_statistic(walk, grid, t) * scale
+                            for grid, scale in zip(grids, scales)])
     return (norm,)
 
 
@@ -500,7 +498,7 @@ def run_verify_bounds(config: ExperimentConfig) -> Report:
     consts.residual_coef = renewal_numerics.fit_two_term(
         grid_v, consts.renewal_coef, consts.alpha, consts.residual_exp)
     powers = renewal_numerics.convolution_powers(grid_v, j_max)
-    chain = renewal_numerics.check_vj_bound_chain(powers, consts, j_max)
+    chain = renewal_numerics.check_vj_bound_chain(powers, consts)
     report.summary["fitted_residual_coef"] = consts.residual_coef
     report.summary["n_checked"] = chain.n_checked
     report.summary["n_violations"] = len(chain.violations)

@@ -17,6 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .distributions import DerivedConstants, ModelParams, sample_w_pair
+from .perturbed_walk import w_pair_draw, walk_points
 
 __all__ = [
     "OccupancyTree",
@@ -68,78 +69,38 @@ class OccupancyResult:
     pruned_bias_bound: np.ndarray
 
 
-def expand_tree(params: ModelParams, max_level: int, threshold: float | None = None,
-                rng: np.random.Generator | None = None, *,
-                neglog_threshold: float | None = None,
-                node_cap: int = 10 ** 8) -> OccupancyTree:
-    """Breadth-first expansion retaining boxes of mass >= threshold.
+def expand_tree(params: ModelParams, max_level: int, rng: np.random.Generator, *,
+                neglog_threshold: float, node_cap: int = 10 ** 8) -> OccupancyTree:
+    """Breadth-first expansion retaining boxes of mass >= e^-neglog_threshold.
 
-    At each retained node fresh stick-breaking children are generated until
-    the residual stick mass falls below the threshold; the residual bounds
-    every further child, so no retained child is missed.  Children below
-    the threshold are not stored and never descended; their masses plus the
-    final residual feed the pruning ledger of their level.
-
-    The threshold may be passed as a probability in (0,1) or, for scales
-    where that would underflow, directly as -log(threshold).
+    Each level runs the perturbed walk from every retained parent's -log
+    mass: fresh stick-breaking children are generated until the residual
+    stick mass falls below the threshold; the residual bounds every further
+    child, so no retained child is missed.  Children below the threshold
+    are not stored and never descended; their masses plus the final
+    residual feed the pruning ledger of their level.
     """
-    if (threshold is None) == (neglog_threshold is None):
-        raise ValueError("pass exactly one of threshold, neglog_threshold")
-    if threshold is not None:
-        if not 0.0 < threshold < 1.0:
-            raise ValueError(f"threshold must be in (0,1), got {threshold}")
-        neglog_threshold = -math.log(threshold)
     if not neglog_threshold > 0.0:
         raise ValueError("neglog_threshold must be positive")
     if max_level < 1:
         raise ValueError("max_level must be at least 1")
-    if rng is None:
-        raise ValueError("an explicit random generator is required")
 
     t_star = float(neglog_threshold)
+    draw = w_pair_draw(sample_w_pair, params)
     parents: list[np.ndarray] = []
     neglogs: list[np.ndarray] = []
     pruned_at = np.zeros(max_level)
 
     parent_neglog = np.zeros(1)  # the root
     for level in range(1, max_level + 1):
-        child_parent: list[np.ndarray] = []
-        child_neglog: list[np.ndarray] = []
-        pruned = 0.0
-        # the nodes still breaking sticks: ordinal, -log mass, running sum of |log W|
-        act = np.arange(parent_neglog.size)
-        base = parent_neglog
-        stick = np.zeros(act.size)
-        while act.size:
-            pair = sample_w_pair(params, rng, act.size)
-            born = base + stick
-            born += pair.neglog_1mw
-            keep = born <= t_star
-            kept = np.count_nonzero(keep)
-            if kept:
-                child_parent.append(act[keep])
-                child_neglog.append(born[keep])
-            if kept < keep.size:
-                pruned += float(np.sum(np.exp(-born[~keep])))
-            stick += pair.neglog_w
-            residual = base + stick
-            done = residual > t_star
-            if done.any():
-                pruned += float(np.sum(np.exp(-residual[done])))
-                live = np.flatnonzero(~done)  # one scan serves the three gathers
-                act, base, stick = act[live], base[live], stick[live]
-        if child_parent:
-            parents.append(np.concatenate(child_parent))
-            neglogs.append(np.concatenate(child_neglog))
-        else:
-            parents.append(np.empty(0, dtype=np.int64))
-            neglogs.append(np.empty(0))
-        pruned_at[level - 1] = pruned
-        if neglogs[-1].size > node_cap:
+        parent, neglog, pruned_at[level - 1] = walk_points(draw, parent_neglog, t_star, rng)
+        parents.append(parent)
+        neglogs.append(neglog)
+        if neglog.size > node_cap:
             raise RuntimeError(
                 f"retained nodes at level {level} exceed the cap "
-                f"({neglogs[-1].size} > {node_cap}); raise the threshold or the cap")
-        parent_neglog = neglogs[-1]
+                f"({neglog.size} > {node_cap}); raise the threshold or the cap")
+        parent_neglog = neglog
     return OccupancyTree(max_level=max_level, neglog_threshold=t_star,
                          parents=parents, neglogs=neglogs, pruned_at=pruned_at)
 

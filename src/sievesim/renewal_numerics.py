@@ -18,6 +18,7 @@ import numpy as np
 from scipy.special import gammaln
 
 from .distributions import DerivedConstants, ModelParams, sample_w_pair, sample_xi
+from .perturbed_walk import w_pair_draw, walk_points
 
 __all__ = [
     "GridFunction",
@@ -74,39 +75,30 @@ class GridFunction:
         return float(self.values[0] + np.sum(np.exp(-s * mids) * np.diff(self.values)))
 
 
-def _count_grid_mc(draw_points, horizon: float, step: float, n_replicas: int,
+def _count_grid_mc(draw, horizon: float, step: float, n_replicas: int,
                    rng: np.random.Generator, origin_mass: bool):
     """Monte Carlo mean and SE of a counting process on the grid.
 
-    draw_points(s_active, rng) -> (points_to_bin, increments) drives
-    a vectorized wave: each wave bins the new points of every active replica
-    and advances the walks; replicas leave once their walk passes the horizon.
-
-    Only the (replica, bin) pairs of the points are kept, never a replicas x
-    bins matrix.  Sorted by bin within each replica, the k-th point of a
-    replica (k = 1, 2, ...) adds 1 to its count N(t) and 2k - 1 to N(t)^2 at
-    every grid point t at or after its bin, since N(t)^2 = sum over
-    k <= N(t) of 2k - 1.  All sums are integers below 2^53, so they are
-    exact in float64.  Replicas run in batches of _BATCH, which fixes the
-    sizes of the draw_points calls and hence the random stream.
+    The points of each replica are those of perturbed_walk.walk_points from
+    the origin with increments draw(rng, n) -> (eta, xi); origin_mass adds
+    a point at 0.  Only the (replica, bin) pairs of the points are kept,
+    never a replicas x bins matrix.  Sorted by bin within each replica, the
+    k-th point of a replica (k = 1, 2, ...) adds 1 to its count N(t) and
+    2k - 1 to N(t)^2 at every grid point t at or after its bin, since
+    N(t)^2 = sum over k <= N(t) of 2k - 1.  All sums are integers below
+    2^53, so they are exact in float64.  Replicas run in batches of _BATCH,
+    which fixes the sizes of the draw calls and hence the random stream.
     """
     nbin = int(round(horizon / step))
     total = np.zeros(nbin + 1)
     totsq = np.zeros(nbin + 1)
     for start in range(0, n_replicas, _BATCH):
         nb = min(_BATCH, n_replicas - start)
-        reps = [np.arange(nb)] if origin_mass else []
-        bins = [np.zeros(nb, dtype=np.int64)] if origin_mass else []
-        s = np.zeros(nb)
-        act = np.arange(nb)
-        while act.size:
-            pts, inc = draw_points(s[act], rng)
-            ok = pts <= horizon
-            reps.append(act[ok])
-            bins.append(np.ceil(pts[ok] / step).astype(np.int64))
-            s[act] += inc
-            act = act[s[act] <= horizon]
-        reps, bins = np.concatenate(reps), np.concatenate(bins)
+        reps, pts, _ = walk_points(draw, np.zeros(nb), horizon, rng)
+        bins = np.ceil(pts / step).astype(np.int64)
+        if origin_mass:
+            reps = np.concatenate([np.arange(nb), reps])
+            bins = np.concatenate([np.zeros(nb, dtype=np.int64), bins])
         order = np.lexsort((bins, reps))
         reps, bins = reps[order], bins[order]
         rank = np.arange(reps.size) - np.searchsorted(reps, reps)  # k - 1
@@ -124,14 +116,8 @@ def estimate_V(params: ModelParams, horizon: float, step: float, n_replicas: int
     construction since every replica count is monotone."""
     if n_replicas < 100:
         raise ValueError("n_replicas must be at least 100")
-
-    # perturbed-walk points: T = S_prev + eta, walk advances by xi
-    def draw_points(s_active, rng_):
-        pair = sample_w_pair(params, rng_, s_active.size)
-        return s_active + pair.neglog_1mw, pair.neglog_w
-
-    mean, se = _count_grid_mc(draw_points, horizon, step, n_replicas, rng,
-                              origin_mass=False)
+    mean, se = _count_grid_mc(w_pair_draw(sample_w_pair, params), horizon, step,
+                              n_replicas, rng, origin_mass=False)
     return GridFunction(step=step, values=mean, se=se)
 
 
@@ -141,12 +127,11 @@ def estimate_U(params: ModelParams, horizon: float, step: float, n_replicas: int
     if n_replicas < 100:
         raise ValueError("n_replicas must be at least 100")
 
-    def draw_points(s_active, rng_):
-        xi = sample_xi(params, rng_, s_active.size)
-        return s_active + xi, xi
+    def draw(rng_, n):  # the points S_i themselves: eta = xi
+        xi = sample_xi(params, rng_, n)
+        return xi, xi
 
-    mean, se = _count_grid_mc(draw_points, horizon, step, n_replicas, rng,
-                              origin_mass=True)
+    mean, se = _count_grid_mc(draw, horizon, step, n_replicas, rng, origin_mass=True)
     return GridFunction(step=step, values=mean, se=se)
 
 
@@ -193,10 +178,8 @@ def fit_two_term(v: GridFunction, renewal_coef: float, alpha: float,
 class BoundReport:
     """Outcome of the convolution-power bound checks."""
 
-    j_max: int
     n_checked: int
     violations: list = field(default_factory=list)
-    condition_points: dict = field(default_factory=dict)
     uniform_sups: dict = field(default_factory=dict)
 
     @property
@@ -218,24 +201,23 @@ def _power_term(consts: DerivedConstants, j: int, t: np.ndarray) -> np.ndarray:
     return out
 
 
-def check_vj_bound_chain(v_list: list[GridFunction], consts: DerivedConstants,
-                         j_max: int | None = None, uniform_gamma: float = 0.125,
-                         uniform_j_max: int = 4) -> BoundReport:
+def check_vj_bound_chain(v_list: list[GridFunction], consts: DerivedConstants) -> BoundReport:
     """Verify the deviation bounds of the convolution powers on the grid.
 
-    For every power j <= j_max and grid point t the binomial-sum deviation
-    envelope is asserted; where the smallness condition
+    For every power j <= len(v_list) and grid point t the binomial-sum
+    deviation envelope is asserted; where the smallness condition
     2 D Gamma(beta+1) j (alpha(j-1)+beta+1)^(alpha-beta) <= C Gamma(alpha+1) t^(alpha-beta)
     holds, the simplified 2.1-factor bound and the 3.31 growth envelope are
     asserted as well.  Violations beyond the slack
     eps = (hi - lo)/2 + 3 h Lipschitz (hi/lo: convolution chains of the
-    estimate +/- 3 SE) are reported, not raised.
+    estimate +/- 3 SE) are reported, not raised.  For j <= 4 the sup of
+    |V_j / (rho_j t^(alpha j)) - 1| over t >= horizon / 8 goes to
+    uniform_sups[j].
     """
     if consts.residual_coef is None:
         raise ValueError("fit residual_coef (fit_two_term) before checking bounds")
     v = v_list[0]
-    if j_max is None:
-        j_max = len(v_list)
+    j_max = len(v_list)
     alpha, beta = consts.alpha, consts.residual_exp
     coef, dd = consts.renewal_coef, consts.residual_coef
     h = v.step
@@ -250,7 +232,7 @@ def check_vj_bound_chain(v_list: list[GridFunction], consts: DerivedConstants,
     hi_pow = convolution_powers(hi, j_max)
     lo_pow = convolution_powers(lo, j_max)
 
-    report = BoundReport(j_max=j_max, n_checked=0)
+    report = BoundReport(n_checked=0)
     log_ga1 = gammaln(alpha + 1.0)
     log_gb1 = gammaln(beta + 1.0)
     log_c = math.log(coef)
@@ -296,7 +278,6 @@ def check_vj_bound_chain(v_list: list[GridFunction], consts: DerivedConstants,
         cond = np.zeros(n, dtype=bool)
         pos = t[:n] > 0.0
         cond[pos] = cond_lhs <= coef * math.exp(log_ga1) * t[:n][pos] ** (alpha - beta)
-        report.condition_points[j] = int(cond.sum())
         if cond.any():
             const21 = (math.log(2.1) + log_d + (j - 1) * log_c + math.log(j)
                        + (j - 1) * log_ga1 + log_gb1
@@ -317,8 +298,8 @@ def check_vj_bound_chain(v_list: list[GridFunction], consts: DerivedConstants,
                 })
             report.n_checked += 2 * int(cond.sum())
 
-        if j <= uniform_j_max:
-            y_min = uniform_gamma * v_list[j - 1].horizon
+        if j <= 4:
+            y_min = v_list[j - 1].horizon / 8
             report.uniform_sups[j] = (y_min,
                                       uniform_ratio_sup(v_list, consts, j, y_min))
     return report
@@ -377,9 +358,9 @@ def check_u_equation(params: ModelParams, t_list, n_mc: int, rng: np.random.Gene
         x_step = x_max / 2 ** 12
         kappa = params.kappa
 
-        def draw_gamma(s_active, rng_):
-            inc = rng_.gamma(shape=kappa, scale=1.0 / kappa, size=s_active.size)
-            return s_active + inc, inc
+        def draw_gamma(rng_, n):
+            inc = rng_.gamma(shape=kappa, scale=1.0 / kappa, size=n)
+            return inc, inc
 
         mean, se = _count_grid_mc(draw_gamma, x_max, x_step, n_mc, rng, origin_mass=True)
         uhat_grid = GridFunction(step=x_step, values=mean, se=se)

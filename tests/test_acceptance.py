@@ -108,8 +108,7 @@ def test_criterion_03_transform_identities():
 
 def test_criterion_04a_convolution_bound_chain(acceptance_grid):
     t0 = time.perf_counter()
-    chain = check_vj_bound_chain(acceptance_grid["powers"],
-                                 acceptance_grid["consts"], 6)
+    chain = check_vj_bound_chain(acceptance_grid["powers"], acceptance_grid["consts"])
     relevant = [v for v in chain.violations if v["t"] <= 400.0]
     elapsed = time.perf_counter() - t0 + acceptance_grid["build_seconds"]
     ok = not relevant and elapsed < 900.0

@@ -32,7 +32,7 @@ GOLDEN = {
         "theorem-main":
             "59a54d1744fe4632ab002ac339b1fec5b79b64a99f259febc1d50b1340171357",
         "theorem-2":
-            "62323f96275888b547243e8e1297fca535df8fdb86badb56528d8a4a52d6ab08",
+            "d3280d20fc19414a73591decb60eec48de4ad61996d5b82579850798c903ccba",
         "theorem-3":
             "9fdfc985ddfae9a0756d357890f6ea64f20ffcf7584e242363045f7cb782d82d",
         "fixed-level":

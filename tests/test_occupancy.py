@@ -54,20 +54,12 @@ class TestExpandTree:
         assert tree.level_size(1) == 0
         assert tree.pruned_mass(1) == pytest.approx(1.0, abs=1e-9)
 
-    def test_threshold_forms_equivalent(self, case_a):
-        t1 = expand_tree(case_a, 2, threshold=math.exp(-10.0), rng=substream(23, 0))
-        t2 = expand_tree(case_a, 2, neglog_threshold=10.0, rng=substream(23, 0))
-        assert np.array_equal(t1.neglogs[1], t2.neglogs[1])
-
     def test_argument_validation(self, case_a, rng):
+        for bad in (0.0, -1.0):
+            with pytest.raises(ValueError):
+                expand_tree(case_a, 2, neglog_threshold=bad, rng=rng)
         with pytest.raises(ValueError):
-            expand_tree(case_a, 2, rng=rng)  # no threshold at all
-        with pytest.raises(ValueError):
-            expand_tree(case_a, 2, threshold=0.5, neglog_threshold=1.0, rng=rng)
-        with pytest.raises(ValueError):
-            expand_tree(case_a, 2, threshold=1.5, rng=rng)
-        with pytest.raises(ValueError):
-            expand_tree(case_a, 0, threshold=0.5, rng=rng)
+            expand_tree(case_a, 0, neglog_threshold=1.0, rng=rng)
 
     def test_node_cap(self, case_a):
         with pytest.raises(RuntimeError, match="cap"):
