@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.integrate import quad
 from scipy.special import gamma as gamma_fn
-from scipy.special import gammaln
+from scipy.special import gammaincc, gammaln
 
 __all__ = [
     "WLaw",
@@ -78,17 +78,14 @@ class DerivedConstants:
     renewal_coef is the coefficient of t^alpha in the renewal function;
     exp(log_power_coefs[j]) is the coefficient of t^(alpha*j) in the j-fold
     convolution power of the intensity function (log_power_coefs[0] = 0).
-    residual_exp is the exponent of the two-term remainder bound
-    |V(t) - renewal_coef * t^alpha| <= residual_coef * t^residual_exp;
-    residual_coef is measured from a grid estimate, not derived.
+    residual_coef is the constant D of the two-term bound
+    |V(t) - renewal_coef * t^alpha| <= D, measured from a grid estimate
+    (fit_two_term), not derived.
     """
 
     alpha: float
-    c: float
     renewal_coef: float
     log_power_coefs: np.ndarray
-    residual_exp: float
-    residual_exp_verified: bool
     residual_coef: float | None = None
 
 
@@ -197,15 +194,11 @@ def laplace_xi(params: ModelParams, s):
         k = params.kappa
         out = (1.0 + (c / k) * gamma_fn(1.0 - a) * s_arr ** a) ** (-k)
     else:
+        # tail density a*c*t^(-a-1) on [t0, inf); integrating by parts gives
+        # e^(-s t0) - c s^a Gamma(1-a, s t0), with Q the regularized upper gamma
         t0 = c ** (1.0 / a)
-        def one(sv):
-            if sv == 0.0:
-                return 1.0
-            # tail density a*c*t^(-a-1) on [t0, inf)
-            val, _ = quad(lambda t: math.exp(-sv * t) * a * c * t ** (-a - 1.0),
-                          t0, np.inf, limit=200)
-            return val
-        out = np.vectorize(one)(s_arr)
+        out = (np.exp(-s_arr * t0)
+               - c * gamma_fn(1.0 - a) * s_arr ** a * gammaincc(1.0 - a, s_arr * t0))
     return float(out) if np.isscalar(s) else out
 
 
@@ -215,22 +208,17 @@ def constants(params: ModelParams, i_max: int = 256) -> DerivedConstants:
     renewal_coef = 1 / (c * Gamma(1+alpha) * Gamma(1-alpha)); the depth
     coefficients rho_i = exp(log_power_coefs[i]) satisfy rho_0 = 1 and
     rho_i = (renewal_coef * Gamma(alpha+1))^i / Gamma(alpha*i + 1).
-    The residual exponent is 0 for the stable and gamma-mixture laws; for
-    the Pareto stress case it is not derivable and is flagged unverified.
+    For the stable and gamma-mixture laws the remainder
+    V(t) - renewal_coef * t^alpha is bounded (it tends to 1/2), so the
+    two-term bound has exponent 0; for the Pareto stress case no such
+    bound is derived.
     """
-    a, c = params.alpha, params.c
-    log_coef = -(math.log(c) + gammaln(1.0 + a) + gammaln(1.0 - a))
+    a = params.alpha
+    log_coef = -(math.log(params.c) + gammaln(1.0 + a) + gammaln(1.0 - a))
     i = np.arange(i_max + 1)
     log_power = i * (log_coef + gammaln(1.0 + a)) - gammaln(a * i + 1.0)
-    verified = params.law in (WLaw.STABLE, WLaw.GAMMA_MIXTURE)
-    return DerivedConstants(
-        alpha=a,
-        c=c,
-        renewal_coef=math.exp(log_coef),
-        log_power_coefs=log_power,
-        residual_exp=0.0,
-        residual_exp_verified=verified,
-    )
+    return DerivedConstants(alpha=a, renewal_coef=math.exp(log_coef),
+                            log_power_coefs=log_power)
 
 
 def neg_moment_via_laplace(laplace, gamma_exp: float, rel_tol: float = 1e-10,
@@ -278,7 +266,7 @@ def gamma_ratio_bound_holds(x, y):
     """Check Gamma(x+1+y)/Gamma(x+1) <= 1.1*(x+1+y)^y for x,y >= 0.
 
     Evaluated through log-gamma so large arguments cannot overflow.
-    Returns (holds, lhs, rhs); all three vectorize over array input.
+    Returns the arrays (holds, lhs, rhs), shaped like the broadcast input.
     """
     x_arr = np.asarray(x, dtype=float)
     y_arr = np.asarray(y, dtype=float)
@@ -287,7 +275,4 @@ def gamma_ratio_bound_holds(x, y):
     log_lhs = gammaln(x_arr + 1.0 + y_arr) - gammaln(x_arr + 1.0)
     log_rhs = math.log(1.1) + y_arr * np.log(x_arr + 1.0 + y_arr)
     holds = log_lhs <= log_rhs + 1e-12
-    lhs, rhs = np.exp(log_lhs), np.exp(log_rhs)
-    if np.isscalar(x) and np.isscalar(y):
-        return bool(holds), float(lhs), float(rhs)
-    return holds, lhs, rhs
+    return holds, np.exp(log_lhs), np.exp(log_rhs)

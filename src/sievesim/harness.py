@@ -63,7 +63,10 @@ class ExperimentConfig:
     log_n_list doubles as the time horizon list for the walk-time
     experiments (the model identifies t with log n).  j_list gives the
     explicit depth per entry; when omitted the default rule
-    floor(log_n^0.3) applies.
+    floor(log_n^0.3) applies.  Every depth must stay within the growth cap
+    log_n^min(1/3, alpha/(alpha+1)): the paper's exponent
+    min(1/3, (alpha-beta)/(alpha-beta+1)) at the two-term remainder
+    exponent beta = 0 that constants documents.
     """
 
     params: ModelParams = field(default_factory=ModelParams)
@@ -96,10 +99,8 @@ class ExperimentConfig:
             raise ValueError("replicas must be at least 100")
         if self.fmt not in ("csv", "json", "both"):
             raise ValueError(f"unknown format {self.fmt!r}")
-        consts = constants(self.params, i_max=8)
-        beta = consts.residual_exp
         a = self.params.alpha
-        cap_exp = min(1.0 / 3.0, (a - beta) / (a - beta + 1.0))
+        cap_exp = min(1.0 / 3.0, a / (a + 1.0))
         for log_n, j in zip(self.log_n_list, self.j_list):
             if log_n <= 1.0:
                 raise ValueError("log_n values must exceed 1")
@@ -402,8 +403,9 @@ def _theorem3_chunk(static, rng, size):
     diffs = np.empty(size)
     counts = np.empty(size)
     for r in range(size):
+        # pruned at t, so every retained node is born by t
         tree = occupancy.expand_tree(params, j, neglog_threshold=t, rng=rng)
-        n_j = occupancy.count_N_j(tree, t)[j - 1]
+        n_j = tree.level_size(j)
         weighted = float(np.sum(v_prev(t - tree.neglogs[0])))
         diffs[r] = (n_j - weighted) * scale
         counts[r] = n_j * scale
@@ -496,7 +498,7 @@ def run_verify_bounds(config: ExperimentConfig) -> Report:
     grid_v = _grid(config, renewal_numerics.estimate_V, 3)
     consts = constants(config.params)
     consts.residual_coef = renewal_numerics.fit_two_term(
-        grid_v, consts.renewal_coef, consts.alpha, consts.residual_exp)
+        grid_v, consts.renewal_coef, consts.alpha)
     powers = renewal_numerics.convolution_powers(grid_v, j_max)
     chain = renewal_numerics.check_vj_bound_chain(powers, consts)
     report.summary["fitted_residual_coef"] = consts.residual_coef

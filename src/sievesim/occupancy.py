@@ -26,7 +26,6 @@ __all__ = [
     "throw_balls_exact",
     "occupancy_poissonized",
     "normalize_counts",
-    "count_N_j",
 ]
 
 _EXACT_MODE_MAX_BALLS = 10 ** 7
@@ -44,7 +43,6 @@ class OccupancyTree:
     """
 
     max_level: int
-    neglog_threshold: float
     parents: list[np.ndarray]
     neglogs: list[np.ndarray]
     pruned_at: np.ndarray
@@ -101,8 +99,8 @@ def expand_tree(params: ModelParams, max_level: int, rng: np.random.Generator, *
                 f"retained nodes at level {level} exceed the cap "
                 f"({neglog.size} > {node_cap}); raise the threshold or the cap")
         parent_neglog = neglog
-    return OccupancyTree(max_level=max_level, neglog_threshold=t_star,
-                         parents=parents, neglogs=neglogs, pruned_at=pruned_at)
+    return OccupancyTree(max_level=max_level, parents=parents, neglogs=neglogs,
+                         pruned_at=pruned_at)
 
 
 def _propagate_counts(tree: OccupancyTree, leaf_occupied: np.ndarray) -> np.ndarray:
@@ -192,16 +190,3 @@ def normalize_counts(count, log_n: float, params: ModelParams,
                - a * level * math.log(log_n))
     return math.exp(log_val)
 
-
-def count_N_j(tree: OccupancyTree, t: float) -> np.ndarray:
-    """Retained nodes per level with -log mass <= t (birth count at time t).
-
-    Requires e^-t at or above the pruning threshold, else the counts would
-    be silently biased down.
-    """
-    if t > tree.neglog_threshold:
-        raise ValueError(
-            f"t={t} exceeds -log(threshold)={tree.neglog_threshold}: counts would "
-            "miss pruned boxes")
-    return np.array([int(np.count_nonzero(tree.neglogs[j] <= t))
-                     for j in range(tree.max_level)], dtype=np.int64)

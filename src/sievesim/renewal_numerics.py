@@ -164,14 +164,10 @@ def convolution_powers(v: GridFunction, j_max: int) -> list[GridFunction]:
     return powers
 
 
-def fit_two_term(v: GridFunction, renewal_coef: float, alpha: float,
-                 beta: float) -> float:
-    """Smallest D with |v(t) - C t^alpha| <= D t^beta on the grid (t > 0)."""
-    if not 0.0 <= beta < alpha:
-        raise ValueError("beta must lie in [0, alpha)")
+def fit_two_term(v: GridFunction, renewal_coef: float, alpha: float) -> float:
+    """Smallest D with |v(t) - C t^alpha| <= D on the grid (t > 0)."""
     t = v.grid()[1:]
-    dev = np.abs(v.values[1:] - renewal_coef * t ** alpha)
-    return float(np.max(dev / t ** beta))
+    return float(np.max(np.abs(v.values[1:] - renewal_coef * t ** alpha)))
 
 
 @dataclass
@@ -204,9 +200,11 @@ def _power_term(consts: DerivedConstants, j: int, t: np.ndarray) -> np.ndarray:
 def check_vj_bound_chain(v_list: list[GridFunction], consts: DerivedConstants) -> BoundReport:
     """Verify the deviation bounds of the convolution powers on the grid.
 
-    For every power j <= len(v_list) and grid point t the binomial-sum
-    deviation envelope is asserted; where the smallness condition
-    2 D Gamma(beta+1) j (alpha(j-1)+beta+1)^(alpha-beta) <= C Gamma(alpha+1) t^(alpha-beta)
+    With the two-term bound |V(t) - C t^alpha| <= D, for every power
+    j <= len(v_list) and grid point t the binomial-sum deviation envelope
+    sum_(i<j) binom(j,i) (C Gamma(alpha+1))^i D^(j-i) t^(alpha i) / Gamma(alpha i+1)
+    is asserted; where the smallness condition
+    2 D j (alpha(j-1)+1)^alpha <= C Gamma(alpha+1) t^alpha
     holds, the simplified 2.1-factor bound and the 3.31 growth envelope are
     asserted as well.  Violations beyond the slack
     eps = (hi - lo)/2 + 3 h Lipschitz (hi/lo: convolution chains of the
@@ -218,7 +216,7 @@ def check_vj_bound_chain(v_list: list[GridFunction], consts: DerivedConstants) -
         raise ValueError("fit residual_coef (fit_two_term) before checking bounds")
     v = v_list[0]
     j_max = len(v_list)
-    alpha, beta = consts.alpha, consts.residual_exp
+    alpha = consts.alpha
     coef, dd = consts.renewal_coef, consts.residual_coef
     h = v.step
     t = v.grid()
@@ -234,7 +232,6 @@ def check_vj_bound_chain(v_list: list[GridFunction], consts: DerivedConstants) -
 
     report = BoundReport(n_checked=0)
     log_ga1 = gammaln(alpha + 1.0)
-    log_gb1 = gammaln(beta + 1.0)
     log_c = math.log(coef)
     log_d = math.log(dd) if dd > 0.0 else -math.inf
 
@@ -252,14 +249,12 @@ def check_vj_bound_chain(v_list: list[GridFunction], consts: DerivedConstants) -
         rhs = np.zeros(n)
         for i in range(j):
             const = (gammaln(j + 1) - gammaln(i + 1) - gammaln(j - i + 1)
-                     + i * log_ga1 + (j - i) * log_gb1
-                     - gammaln(alpha * i + beta * (j - i) + 1.0)
+                     + i * log_ga1 - gammaln(alpha * i + 1.0)
                      + i * log_c + (j - i) * log_d)
-            expo = alpha * i + beta * (j - i)
             term = np.zeros(n)
             pos = t[:n] > 0.0
-            term[pos] = np.exp(const + expo * log_t[:n][pos])
-            if expo == 0.0:
+            term[pos] = np.exp(const + alpha * i * log_t[:n][pos])
+            if i == 0:
                 term[~pos] = math.exp(const)
             rhs += term
 
@@ -273,17 +268,15 @@ def check_vj_bound_chain(v_list: list[GridFunction], consts: DerivedConstants) -
         report.n_checked += n - 1
 
         # smallness condition for the simplified bounds
-        cond_lhs = (2.0 * dd * math.exp(log_gb1) * j
-                    * (alpha * (j - 1) + beta + 1.0) ** (alpha - beta))
+        cond_lhs = 2.0 * dd * j * (alpha * (j - 1) + 1.0) ** alpha
         cond = np.zeros(n, dtype=bool)
         pos = t[:n] > 0.0
-        cond[pos] = cond_lhs <= coef * math.exp(log_ga1) * t[:n][pos] ** (alpha - beta)
+        cond[pos] = cond_lhs <= coef * math.exp(log_ga1) * t[:n][pos] ** alpha
         if cond.any():
             const21 = (math.log(2.1) + log_d + (j - 1) * log_c + math.log(j)
-                       + (j - 1) * log_ga1 + log_gb1
-                       - gammaln(alpha * (j - 1) + beta + 1.0))
+                       + (j - 1) * log_ga1 - gammaln(alpha * (j - 1) + 1.0))
             rhs21 = np.zeros(n)
-            rhs21[pos] = np.exp(const21 + (alpha * (j - 1) + beta) * log_t[:n][pos])
+            rhs21[pos] = np.exp(const21 + alpha * (j - 1) * log_t[:n][pos])
             bad21 = cond & (lhs > rhs21 + eps)
             for m in np.nonzero(bad21)[0]:
                 report.violations.append({

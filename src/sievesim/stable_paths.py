@@ -16,12 +16,9 @@ from scipy.special import gamma as gamma_fn
 from .distributions import sample_positive_stable
 
 __all__ = [
-    "inverse_at_level",
-    "inverse_marginal_exact",
     "inverse_mean_coef",
     "sample_limit_integrals",
     "sample_fixed_level_limits",
-    "self_similarity_check",
     "default_limit_grid",
 ]
 
@@ -68,28 +65,6 @@ def _accumulate_crossings(alpha, n_paths, y_horizon, y_step, v_step, tables, rng
         scores[:, start:start + nb] = acc
         counts[start:start + nb] = cnt
     return scores, counts
-
-
-def inverse_at_level(alpha: float, y: float, n_draws: int, rng: np.random.Generator,
-                     v_step: float | None = None) -> np.ndarray:
-    """Grid first-passage draws of the inverse subordinator at level y.
-
-    Each draw overshoots the exact passage time by at most v_step.
-    """
-    if not y > 0.0:
-        raise ValueError("y must be positive")
-    if v_step is None:
-        v_step = inverse_mean_coef(alpha) * y ** alpha / 1024.0
-    _, counts = _accumulate_crossings(alpha, n_draws, y, y, v_step, [], rng)
-    return counts * v_step
-
-
-def inverse_marginal_exact(alpha: float, y: float, n_draws: int,
-                           rng: np.random.Generator) -> np.ndarray:
-    """Exact draws of the inverse marginal via the first-passage duality
-    P{inverse(y) <= v} = P{Z(v) >= y}, i.e. inverse(y) =d (y / Z(1))^alpha."""
-    z1 = sample_positive_stable(alpha, 1.0, rng, n_draws)
-    return (y / z1) ** alpha
 
 
 def default_limit_grid(alpha: float, u_min: float) -> tuple[float, float, float]:
@@ -169,17 +144,3 @@ def sample_fixed_level_limits(alpha: float, j: int, n_draws: int, rng: np.random
     scores, _ = _accumulate_crossings(alpha, n_draws, 1.0, y_step, v_step, [table], rng)
     return scores[0] * v_step
 
-
-def self_similarity_check(alpha: float, j: float, n_draws: int,
-                          rng: np.random.Generator) -> float:
-    """Two-sample KS distance between inverse draws at level 1/j and
-    j^-alpha times inverse draws at level 1, both path-based."""
-    if not j > 0.0:
-        raise ValueError("j must be positive")
-    from .stats import ks_two_sample
-    scale = inverse_mean_coef(alpha) * (1.0 / j) ** alpha
-    v_step = scale / 512.0
-    a = inverse_at_level(alpha, 1.0 / j, n_draws, rng, v_step=v_step)
-    b = j ** (-alpha) * inverse_at_level(alpha, 1.0, n_draws, rng,
-                                         v_step=v_step * j ** alpha)
-    return ks_two_sample(a, b)

@@ -33,6 +33,5 @@ def grids400(case_a, consts_a):
     """Shared intensity grid on [0, 400] with its convolution powers."""
     v = estimate_V(case_a, 400.0, 400.0 / 4096, 30000, substream(TEST_SEED, 100))
     consts = constants(case_a)
-    consts.residual_coef = fit_two_term(v, consts.renewal_coef, consts.alpha,
-                                        consts.residual_exp)
+    consts.residual_coef = fit_two_term(v, consts.renewal_coef, consts.alpha)
     return {"v": v, "powers": convolution_powers(v, 6), "consts": consts}

@@ -34,9 +34,10 @@ from sievesim.renewal_numerics import (
     fit_two_term,
     uniform_ratio_sup,
 )
-from sievesim.stable_paths import inverse_at_level, self_similarity_check
 from sievesim.stats import ks_two_sample
 from sievesim.streams import substream
+
+from inverse_oracles import inverse_at_level, self_similarity_check
 
 
 def announce(criterion: str, ok: bool, detail: str) -> None:
@@ -50,8 +51,7 @@ def acceptance_grid():
     params = ModelParams()
     v = estimate_V(params, 800.0, 800.0 / 4096, 10 ** 5, substream(DEFAULT_SEED, 40))
     consts = constants(params)
-    consts.residual_coef = fit_two_term(v, consts.renewal_coef, consts.alpha,
-                                        consts.residual_exp)
+    consts.residual_coef = fit_two_term(v, consts.renewal_coef, consts.alpha)
     powers = convolution_powers(v, 6)
     return {"v": v, "consts": consts, "powers": powers,
             "build_seconds": time.perf_counter() - t0}

@@ -7,7 +7,6 @@ import pytest
 from sievesim.distributions import ModelParams
 from sievesim.occupancy import (
     OccupancyTree,
-    count_N_j,
     expand_tree,
     normalize_counts,
     occupancy_poissonized,
@@ -44,7 +43,7 @@ class TestExpandTree:
         for j in range(1, 4):
             nl = small_tree.neglogs[j - 1]
             assert np.all(nl >= parent_neglog[small_tree.parents[j - 1]])
-            assert np.all(nl <= small_tree.neglog_threshold)
+            assert np.all(nl <= 20.0)
             parent_neglog = nl
 
     def test_threshold_above_all_sticks_prunes_everything(self, case_a):
@@ -75,34 +74,19 @@ class TestExpandTree:
         assert np.array_equal(a.pruned_at, b.pruned_at)
 
     def test_mean_counts_match_grid(self, grids400, case_a):
-        # E(retained nodes at level j with -log mass <= t) is the depth-j
-        # convolution power at t: tree counting vs the grid, 200 replicas
+        # pruned at t, a tree retains exactly the nodes born by t, so
+        # E(level size j) is the depth-j convolution power at t: tree
+        # counting vs the grid, 200 replicas
         t = 25.0
         rng = substream(26, 0)
         counts = np.empty((200, 3))
         for r in range(200):
             tree = expand_tree(case_a, 3, neglog_threshold=t, rng=rng)
-            counts[r] = count_N_j(tree, t)
+            counts[r] = [tree.level_size(j) for j in (1, 2, 3)]
         for j in (1, 2, 3):
             grid_val = grids400["powers"][j - 1](t)
             se = counts[:, j - 1].std() / math.sqrt(200)
             assert abs(counts[:, j - 1].mean() - grid_val) <= 4 * se + 0.02 * grid_val, f"j={j}"
-
-
-class TestCountNj:
-    def test_zero_time(self, small_tree):
-        assert np.all(count_N_j(small_tree, 0.0) == 0)
-
-    def test_nondecreasing_in_t(self, small_tree):
-        prev = np.zeros(3, dtype=int)
-        for t in np.linspace(0.0, 20.0, 21):
-            cur = count_N_j(small_tree, t)
-            assert np.all(cur >= prev)
-            prev = cur
-
-    def test_beyond_threshold_rejected(self, small_tree):
-        with pytest.raises(ValueError, match="threshold"):
-            count_N_j(small_tree, 25.0)
 
 
 class TestThrowBallsExact:
@@ -147,8 +131,7 @@ class TestPoissonized:
         # at log n = 1000 the argument log n - neglog far exceeds 36, where
         # the occupation probability is exactly 1; nothing may overflow
         neglogs = np.array([1.0, 500.0, 963.0, 1200.0, 1500.0])
-        tree = OccupancyTree(max_level=1, neglog_threshold=1500.0,
-                             parents=[np.zeros(neglogs.size, dtype=np.int64)],
+        tree = OccupancyTree(max_level=1, parents=[np.zeros(neglogs.size, dtype=np.int64)],
                              neglogs=[neglogs], pruned_at=np.zeros(1))
         with warnings.catch_warnings():
             warnings.simplefilter("error")

@@ -12,9 +12,10 @@ from sievesim.perturbed_walk import (
     weighted_sum_statistic,
 )
 from sievesim.renewal_numerics import GridFunction, estimate_V
-from sievesim.stable_paths import inverse_at_level
 from sievesim.stats import ks_two_sample
 from sievesim.streams import substream
+
+from inverse_oracles import inverse_at_level
 
 
 def scripted(etas, xis):

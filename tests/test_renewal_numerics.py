@@ -281,11 +281,11 @@ class TestFitAndBounds:
         h = 0.1
         t = np.arange(101) * h
         v = GridFunction(step=h, values=consts_a.renewal_coef * np.sqrt(t))
-        assert fit_two_term(v, consts_a.renewal_coef, 0.5, 0.0) == 0.0
+        assert fit_two_term(v, consts_a.renewal_coef, 0.5) == 0.0
 
     def test_fit_revalidates_by_construction(self, grids400, consts_a):
         v = grids400["v"]
-        d = fit_two_term(v, consts_a.renewal_coef, 0.5, 0.0)
+        d = fit_two_term(v, consts_a.renewal_coef, 0.5)
         t = v.grid()[1:]
         assert np.all(np.abs(v.values[1:] - consts_a.renewal_coef * np.sqrt(t))
                       <= d + 1e-12)
@@ -293,12 +293,8 @@ class TestFitAndBounds:
     def test_fit_stable_under_horizon_doubling(self, grids400, case_a, consts_a):
         d400 = grids400["consts"].residual_coef
         v800 = estimate_V(case_a, 800.0, 800.0 / 4096, 30000, substream(12, 0))
-        d800 = fit_two_term(v800, consts_a.renewal_coef, 0.5, 0.0)
+        d800 = fit_two_term(v800, consts_a.renewal_coef, 0.5)
         assert 0.8 <= d800 / d400 <= 1.25
-
-    def test_beta_validation(self, grids400, consts_a):
-        with pytest.raises(ValueError):
-            fit_two_term(grids400["v"], consts_a.renewal_coef, 0.5, 0.6)
 
     def test_bound_chain_no_violations(self, grids400):
         powers = grids400["powers"]

@@ -7,14 +7,13 @@ from scipy.integrate import quad
 from sievesim.distributions import sample_positive_stable
 from sievesim.stable_paths import (
     default_limit_grid,
-    inverse_at_level,
-    inverse_marginal_exact,
     inverse_mean_coef,
     sample_fixed_level_limits,
     sample_limit_integrals,
-    self_similarity_check,
 )
 from sievesim.stats import ks_two_sample
+
+from inverse_oracles import inverse_at_level, inverse_marginal_exact, self_similarity_check
 
 
 def limit_mean_quadrature(alpha, u):
