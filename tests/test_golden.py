@@ -38,7 +38,7 @@ GOLDEN = {
         "fixed-level":
             "e03e442785228b9205fa1e52861b2f8ed19acc5b8a76cb573cc81b463cf5f59e",
         "appendix":
-            "f0bb354e7267070ec88b85bce93d3a2cfd7281efb90784ec211362c1eea931bf",
+            "ca23625639cfebba5f9a3a1667219f4ab1ade7cefc2bf816ec78f039245c5d39",
     },
 }
 
