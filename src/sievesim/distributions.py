@@ -196,7 +196,8 @@ def laplace_xi(params: ModelParams, s):
         out = (1.0 + (c / k) * gamma_fn(1.0 - a) * s_arr ** a) ** (-k)
     else:
         # tail density a*c*t^(-a-1) on [t0, inf); integrating by parts gives
-        # e^(-s t0) - c s^a Gamma(1-a, s t0), with Q the regularized upper gamma
+        # e^(-s t0) - c s^a Gamma(1-a, s t0), and the upper incomplete gamma
+        # Gamma(1-a, x) is Gamma(1-a) * gammaincc(1-a, x)
         t0 = c ** (1.0 / a)
         out = (np.exp(-s_arr * t0)
                - c * gamma_fn(1.0 - a) * s_arr ** a * gammaincc(1.0 - a, s_arr * t0))
