@@ -16,7 +16,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import IntegrationWarning, quad
 from scipy.special import gamma as gamma_fn
 from scipy.special import gammaincc, gammaln
 
@@ -133,16 +132,31 @@ def sample_positive_stable(alpha: float, time_scale: float, rng: np.random.Gener
 
 def _kanter(alpha: float, time_scale: float, rng: np.random.Generator, n):
     """Kanter's representation for any alpha in (0,1), on n draws each of a
-    uniform and then an exponential."""
-    u = np.pi * rng.random(n)
-    u = np.maximum(u, 1e-100)  # sin terms vanish at 0; the event has probability 0
-    e = np.maximum(rng.standard_exponential(n), _TINY)
-    log_a = (alpha * np.log(np.sin(alpha * u))
-             + (1.0 - alpha) * np.log(np.sin((1.0 - alpha) * u))
-             - np.log(np.sin(u))) / (1.0 - alpha)
-    log_std = (1.0 - alpha) / alpha * (log_a - np.log(e))
-    log_scale = (math.log(time_scale) + math.log(gamma_fn(1.0 - alpha))) / alpha
-    return np.exp(log_scale + log_std)
+    uniform and then an exponential.
+
+    Evaluates exp(log_scale + (1-alpha)/alpha * (log_a - log E)) with
+    log_a = (alpha log sin(alpha U) + (1-alpha) log sin((1-alpha) U)
+    - log sin U) / (1-alpha), in place on two scratch arrays.
+    """
+    b = 1.0 - alpha
+    u = rng.random(n)
+    u *= np.pi
+    np.maximum(u, 1e-100, out=u)  # sin terms vanish at 0; the event has probability 0
+    e = rng.standard_exponential(n)
+    np.maximum(e, _TINY, out=e)
+    log_a = np.multiply(alpha, u)
+    np.log(np.sin(log_a, out=log_a), out=log_a)
+    log_a *= alpha
+    tmp = np.multiply(b, u)
+    np.log(np.sin(tmp, out=tmp), out=tmp)
+    tmp *= b
+    log_a += tmp
+    log_a -= np.log(np.sin(u, out=u), out=u)
+    log_a /= b
+    log_a -= np.log(e, out=e)
+    log_a *= b / alpha
+    log_a += (math.log(time_scale) + math.log(gamma_fn(b))) / alpha
+    return np.exp(log_a, out=log_a)
 
 
 def sample_xi(params: ModelParams, rng: np.random.Generator, size: int) -> np.ndarray:
@@ -231,6 +245,8 @@ def neg_moment_via_laplace(laplace, gamma_exp: float) -> float:
     the tail [1, inf) goes to quad's infinite-range rule, and an
     IntegrationWarning there means divergence (returns inf).
     """
+    from scipy.integrate import IntegrationWarning, quad  # only the appendix integrates
+
     if not gamma_exp > 0.0:
         raise ValueError("gamma_exp must be positive")
     g = gamma_exp

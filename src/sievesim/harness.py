@@ -97,6 +97,12 @@ class ExperimentConfig:
             raise ValueError("j_list must have one entry per log_n")
         if self.replicas < 100:
             raise ValueError("replicas must be at least 100")
+        js = self.fixed_level_js
+        if (not isinstance(js, tuple) or not js
+                or any(type(j) is not int or j < 1 for j in js)
+                or any(i >= j for i, j in zip(js, js[1:]))):
+            raise ValueError("fixed_level_js must be a nonempty, strictly increasing "
+                             f"tuple of positive ints, got {js!r}")
         if self.fmt not in ("csv", "json", "both"):
             raise ValueError(f"unknown format {self.fmt!r}")
         a = self.params.alpha
@@ -450,10 +456,12 @@ def run_fixed_level_link(config: ExperimentConfig) -> Report:
     rng = substream(config.seed, _TAG_LINK)
     ref, _ = stable_paths.sample_limit_integrals(a, [1.0], n, rng)
     ref = ref[:, 0]
+    js = config.fixed_level_js
+    joint = stable_paths.sample_fixed_level_limits(a, js, n, rng)
     ks_seq = []
     means = []
-    for j in config.fixed_level_js:
-        draws = j ** a * stable_paths.sample_fixed_level_limits(a, j, n, rng)
+    for j, column in zip(js, joint.T):
+        draws = j ** a * column
         ks = ks_two_sample(draws, ref)
         ks_seq.append(ks)
         means.append(float(draws.mean()))

@@ -23,6 +23,7 @@ __all__ = [
 ]
 
 _WAVE = 256  # increments drawn per path per vectorized round
+_BATCH = 20000  # paths grown together; bounds the wave buffers
 
 
 def inverse_mean_coef(alpha: float) -> float:
@@ -30,8 +31,7 @@ def inverse_mean_coef(alpha: float) -> float:
     return 1.0 / (gamma_fn(1.0 - alpha) * gamma_fn(1.0 + alpha))
 
 
-def _accumulate_crossings(alpha, n_paths, y_horizon, y_step, v_step, tables, rng,
-                          batch=20000):
+def _accumulate_crossings(alpha, n_paths, y_horizon, y_step, v_step, tables, rng):
     """Core wave sampler shared by the inverse/limit ops.
 
     Grows subordinator paths with time step v_step until they cross
@@ -40,30 +40,39 @@ def _accumulate_crossings(alpha, n_paths, y_horizon, y_step, v_step, tables, rng
     Returns (scores[n_tables, n_paths], count_below[n_paths]); count_below
     times v_step is the grid first-passage time of y_horizon.
     """
-    n_tab = len(tables)
     m = int(round(y_horizon / y_step))
-    scores = np.zeros((n_tab, n_paths))
-    counts = np.zeros(n_paths)
-    for start in range(0, n_paths, batch):
-        nb = min(batch, n_paths - start)
-        acc = np.zeros((n_tab, nb))
-        cnt = np.ones(nb)  # Z_0 = 0 always counts
-        for i, table in enumerate(tables):
-            acc[i] += table[0]
+    # index m + 1 marks a point beyond the horizon; its padded entry scores 0
+    padded = [np.append(table, 0.0) for table in tables]
+    scores = np.empty((len(tables), n_paths))
+    counts = np.ones(n_paths)  # Z_0 = 0 always counts
+    for i, table in enumerate(tables):
+        scores[i] = table[0]
+    for start in range(0, n_paths, _BATCH):
+        nb = min(_BATCH, n_paths - start)
+        acc = scores[:, start:start + nb]
+        cnt = counts[start:start + nb]
+        idx_buf = np.empty((nb, _WAVE), dtype=np.int64)
+        val_buf = np.empty((nb, _WAVE))
         z = np.zeros(nb)
         act = np.arange(nb)
         while act.size:
-            inc = sample_positive_stable(alpha, v_step, rng, (act.size, _WAVE))
-            zp = z[act, None] + np.cumsum(inc, axis=1)
-            below = zp <= y_horizon
-            idx = np.where(below, np.minimum(np.ceil(zp / y_step), m).astype(np.int64), 0)
-            for i, table in enumerate(tables):
-                acc[i, act] += np.where(below, table[idx], 0.0).sum(axis=1)
-            cnt[act] += below.sum(axis=1)
+            zp = sample_positive_stable(alpha, v_step, rng, (act.size, _WAVE))
+            np.cumsum(zp, axis=1, out=zp)
+            zp += z[act, None]
+            beyond = zp > y_horizon
+            cnt[act] += _WAVE - beyond.sum(axis=1)
             z[act] = zp[:, -1]
+            if padded:
+                zp /= y_step
+                np.ceil(zp, out=zp)
+                np.minimum(zp, m, out=zp)
+                zp[beyond] = m + 1
+                idx = idx_buf[:act.size]
+                np.copyto(idx, zp, casting="unsafe")
+                vals = val_buf[:act.size]
+                for i, table in enumerate(padded):
+                    acc[i, act] += np.take(table, idx, out=vals).sum(axis=1)
             act = act[z[act] <= y_horizon]
-        scores[:, start:start + nb] = acc
-        counts[start:start + nb] = cnt
     return scores, counts
 
 
@@ -119,17 +128,20 @@ def sample_limit_integrals(alpha: float, u_list, n_draws: int, rng: np.random.Ge
     return values, tails
 
 
-def sample_fixed_level_limits(alpha: float, j: int, n_draws: int, rng: np.random.Generator,
+def sample_fixed_level_limits(alpha: float, js, n_draws: int, rng: np.random.Generator,
                               y_step: float | None = None,
                               v_step: float | None = None) -> np.ndarray:
-    """Draws of the depth-j fixed-level limit: the pathwise Stieltjes integral
-    of (1-y)^(alpha*(j-1)) over [0,1] against an inverse path.
+    """Joint draws of the fixed-level limits at every depth j in js: the
+    pathwise Stieltjes integrals of (1-y)^(alpha*(j-1)) over [0,1] against
+    one inverse path per draw.  Returns shape (n_draws, len(js)).
 
-    For j = 1 the integrand is 1 and each draw is exactly the grid
-    first-passage time of level 1.
+    Each column has its depth's marginal law, and the integrand decreases
+    in j, so each draw is nonincreasing along increasing depths.  For j = 1
+    the integrand is 1 and the draw is exactly the grid first-passage time
+    of level 1.
     """
-    if j < 1:
-        raise ValueError("j must be a positive integer")
+    if len(js) == 0 or any(j < 1 for j in js):
+        raise ValueError("js must be nonempty positive integers")
     if y_step is None:
         y_step = 1.0 / 2 ** 14
     if v_step is None:
@@ -138,9 +150,6 @@ def sample_fixed_level_limits(alpha: float, j: int, n_draws: int, rng: np.random
     # table[idx]: mass falling in bin (y_(idx-1), y_idx] is scored with the
     # midpoint integrand; the origin atom (idx 0) with the left endpoint.
     y_mid = (np.arange(m) + 0.5) * y_step
-    table = np.empty(m + 1)
-    table[0] = 1.0
-    table[1:] = (1.0 - y_mid) ** (alpha * (j - 1))
-    scores, _ = _accumulate_crossings(alpha, n_draws, 1.0, y_step, v_step, [table], rng)
-    return scores[0] * v_step
-
+    tables = [np.concatenate(([1.0], (1.0 - y_mid) ** (alpha * (j - 1)))) for j in js]
+    scores, _ = _accumulate_crossings(alpha, n_draws, 1.0, y_step, v_step, tables, rng)
+    return scores.T * v_step

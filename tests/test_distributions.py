@@ -7,6 +7,7 @@ from scipy.integrate import quad
 from scipy.special import erfc, gamma as gamma_fn, gammaln
 
 from sievesim.distributions import (
+    _TINY,
     ModelParams,
     WLaw,
     _kanter,
@@ -25,6 +26,20 @@ from sievesim.streams import substream
 
 def mc_se(x):
     return x.std() / math.sqrt(x.size)
+
+
+def kanter_reference(alpha, time_scale, rng, n):
+    """Kanter's representation as plain array expressions, one temporary per
+    operation; the in-place sampler must match it bit for bit."""
+    u = np.pi * rng.random(n)
+    u = np.maximum(u, 1e-100)
+    e = np.maximum(rng.standard_exponential(n), _TINY)
+    log_a = (alpha * np.log(np.sin(alpha * u))
+             + (1.0 - alpha) * np.log(np.sin((1.0 - alpha) * u))
+             - np.log(np.sin(u))) / (1.0 - alpha)
+    log_std = (1.0 - alpha) / alpha * (log_a - np.log(e))
+    log_scale = (math.log(time_scale) + math.log(gamma_fn(1.0 - alpha))) / alpha
+    return np.exp(log_scale + log_std)
 
 
 class TestPositiveStable:
@@ -51,6 +66,19 @@ class TestPositiveStable:
         assert half.shape == (1000, 100)
         np.testing.assert_allclose(half, kanter, rtol=1e-13, atol=0.0)
         assert rng_half.random() == rng_kanter.random()
+
+    @pytest.mark.parametrize("alpha", [0.1, 0.3, 0.8, 0.95])
+    @pytest.mark.parametrize("time_scale", [1e-4, 0.003, 1.0, 7.0])
+    def test_kanter_in_place_matches_reference(self, alpha, time_scale):
+        # same draws, same operations in the same order: equal bits and the
+        # stream left at the same point
+        rng_new, rng_ref = substream(47, 0), substream(47, 0)
+        for size in (1000, (300, 256)):
+            new = _kanter(alpha, time_scale, rng_new, size)
+            ref = kanter_reference(alpha, time_scale, rng_ref, size)
+            assert new.shape == ref.shape
+            assert np.array_equal(new, ref)
+        assert rng_new.random() == rng_ref.random()
 
     def test_time_scaling(self, rng):
         # Z(c t) has the law of t^(1/alpha) Z(c)

@@ -36,7 +36,7 @@ GOLDEN = {
         "theorem-3":
             "9fdfc985ddfae9a0756d357890f6ea64f20ffcf7584e242363045f7cb782d82d",
         "fixed-level":
-            "e03e442785228b9205fa1e52861b2f8ed19acc5b8a76cb573cc81b463cf5f59e",
+            "fb342546f5ca2066a516e154cc842957319dd8a2ed1b0fc21330511fa9e077d7",
         "appendix":
             "ca23625639cfebba5f9a3a1667219f4ab1ade7cefc2bf816ec78f039245c5d39",
     },

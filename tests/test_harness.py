@@ -109,6 +109,12 @@ class TestConfigValidation:
         with pytest.raises(ValueError, match="floor"):
             small_config(u_list=(0.3,))
 
+    @pytest.mark.parametrize("js", [(), (4, 4), (16, 4), (0, 4), (4.0, 16), [4, 16]])
+    def test_fixed_level_js_rejected(self, js):
+        # empty, repeated, unordered, nonpositive, non-int, not a tuple
+        with pytest.raises(ValueError, match="fixed_level_js"):
+            small_config(fixed_level_js=js)
+
     def test_default_j_rule(self):
         cfg = ExperimentConfig(log_n_list=(50.0, 150.0), u_list=(1.0,), replicas=150)
         assert cfg.j_list == (3, 4)

@@ -6,6 +6,9 @@ from scipy.integrate import quad
 
 from sievesim.distributions import sample_positive_stable
 from sievesim.stable_paths import (
+    _BATCH,
+    _WAVE,
+    _accumulate_crossings,
     default_limit_grid,
     inverse_mean_coef,
     sample_fixed_level_limits,
@@ -23,6 +26,59 @@ def limit_mean_quadrature(alpha, u):
     val, _ = quad(lambda y: alpha * u * coef * y ** alpha * math.exp(-alpha * u * y),
                   0.0, np.inf, limit=200)
     return val
+
+
+def crossings_reference(alpha, n_paths, y_horizon, y_step, v_step, tables, rng):
+    """The wave kernel written with fresh temporaries and np.where masks;
+    _accumulate_crossings must match it bit for bit."""
+    n_tab = len(tables)
+    m = int(round(y_horizon / y_step))
+    scores = np.zeros((n_tab, n_paths))
+    counts = np.zeros(n_paths)
+    for start in range(0, n_paths, _BATCH):
+        nb = min(_BATCH, n_paths - start)
+        acc = np.zeros((n_tab, nb))
+        cnt = np.ones(nb)
+        for i, table in enumerate(tables):
+            acc[i] += table[0]
+        z = np.zeros(nb)
+        act = np.arange(nb)
+        while act.size:
+            inc = sample_positive_stable(alpha, v_step, rng, (act.size, _WAVE))
+            zp = z[act, None] + np.cumsum(inc, axis=1)
+            below = zp <= y_horizon
+            idx = np.where(below, np.minimum(np.ceil(zp / y_step), m).astype(np.int64), 0)
+            for i, table in enumerate(tables):
+                acc[i, act] += np.where(below, table[idx], 0.0).sum(axis=1)
+            cnt[act] += below.sum(axis=1)
+            z[act] = zp[:, -1]
+            act = act[z[act] <= y_horizon]
+        scores[:, start:start + nb] = acc
+        counts[start:start + nb] = cnt
+    return scores, counts
+
+
+class TestCrossingKernel:
+    @pytest.mark.parametrize("alpha", [0.5, 0.8])
+    @pytest.mark.parametrize("n_tables", [0, 1, 3])
+    def test_matches_reference(self, alpha, n_tables):
+        # the horizon sits between grid points, so the index clamp at m is
+        # reached; more paths than one batch holds
+        y_horizon = 1.7
+        y_step = y_horizon / 130.3
+        m = int(round(y_horizon / y_step))
+        tables = [np.exp(-(k + 0.5) * np.arange(m + 1) * y_step) for k in range(n_tables)]
+        v_step = inverse_mean_coef(alpha) * y_horizon ** alpha / 40.0
+        n_paths = _BATCH + 1500
+        rng_new, rng_ref = np.random.default_rng(71), np.random.default_rng(71)
+        scores, counts = _accumulate_crossings(alpha, n_paths, y_horizon, y_step, v_step,
+                                               tables, rng_new)
+        ref_scores, ref_counts = crossings_reference(alpha, n_paths, y_horizon, y_step,
+                                                     v_step, tables, rng_ref)
+        assert scores.shape == (n_tables, n_paths)
+        assert np.array_equal(scores, ref_scores)
+        assert np.array_equal(counts, ref_counts)
+        assert rng_new.random() == rng_ref.random()
 
 
 class TestSubordinatorPath:
@@ -113,14 +169,14 @@ class TestFixedLevel:
     def test_depth_one_is_first_passage(self, rng):
         # integrand 1: the draw is exactly the grid passage time of level 1
         v_step = inverse_mean_coef(0.5) / 1024.0
-        draws = sample_fixed_level_limits(0.5, 1, 2 * 10 ** 4, rng, v_step=v_step)
+        draws = sample_fixed_level_limits(0.5, [1], 2 * 10 ** 4, rng, v_step=v_step)[:, 0]
         ticks = draws / v_step
         assert np.allclose(ticks, np.round(ticks), atol=1e-6)
         ref = inverse_marginal_exact(0.5, 1.0, 2 * 10 ** 4, rng)
         assert ks_two_sample(draws, ref) <= 0.03
 
     def test_depth_one_mean(self, rng):
-        draws = sample_fixed_level_limits(0.5, 1, 3 * 10 ** 4, rng)
+        draws = sample_fixed_level_limits(0.5, [1], 3 * 10 ** 4, rng)[:, 0]
         coef = inverse_mean_coef(0.5)
         se = draws.std() / math.sqrt(draws.size)
         v_step = coef / 1024.0
@@ -132,13 +188,27 @@ class TestFixedLevel:
         coef = inverse_mean_coef(alpha)
         oracle, _ = quad(lambda y: coef * alpha * y ** (alpha - 1)
                          * (1 - y) ** (alpha * (j - 1)), 0.0, 1.0, limit=200)
-        draws = sample_fixed_level_limits(alpha, j, 4 * 10 ** 4, rng)
+        draws = sample_fixed_level_limits(alpha, [j], 4 * 10 ** 4, rng)[:, 0]
         se = draws.std() / math.sqrt(draws.size)
         assert abs(draws.mean() - oracle) <= 4 * se + coef / 512.0
 
     def test_rejects_bad_depth(self, rng):
-        with pytest.raises(ValueError):
-            sample_fixed_level_limits(0.5, 0, 10, rng)
+        for js in ([0], [4, 0], []):
+            with pytest.raises(ValueError):
+                sample_fixed_level_limits(0.5, js, 10, rng)
+
+    def test_joint_depths_share_paths(self):
+        js, n, v_step = (1, 4, 16), 3000, inverse_mean_coef(0.5) / 1024.0
+        draws = sample_fixed_level_limits(0.5, js, n, np.random.default_rng(72))
+        assert draws.shape == (n, len(js))
+        # the integrand decreases in j, so every path orders its draws
+        assert np.all(np.diff(draws, axis=1) <= 0.0)
+        ticks = draws[:, 0] / v_step
+        assert np.allclose(ticks, np.round(ticks), rtol=0.0, atol=1e-9)
+        # the paths do not depend on the depths: the first column is the
+        # single-depth draw on the same stream
+        alone = sample_fixed_level_limits(0.5, js[:1], n, np.random.default_rng(72))
+        assert np.array_equal(draws[:, 0], alone[:, 0])
 
 
 class TestSelfSimilarity:
