@@ -218,20 +218,20 @@ def laplace_xi(params: ModelParams, s):
     return float(out) if np.isscalar(s) else out
 
 
-def constants(params: ModelParams, i_max: int = 256) -> DerivedConstants:
+def constants(params: ModelParams) -> DerivedConstants:
     """Derived constants for the given law, computed in log space.
 
     renewal_coef = 1 / (c * Gamma(1+alpha) * Gamma(1-alpha)); the depth
     coefficients rho_i = exp(log_power_coefs[i]) satisfy rho_0 = 1 and
-    rho_i = (renewal_coef * Gamma(alpha+1))^i / Gamma(alpha*i + 1).
-    For the stable and gamma-mixture laws the remainder
-    V(t) - renewal_coef * t^alpha is bounded (it tends to 1/2), so the
-    two-term bound has exponent 0; for the Pareto stress case no such
-    bound is derived.
+    rho_i = (renewal_coef * Gamma(alpha+1))^i / Gamma(alpha*i + 1),
+    tabulated for i = 0..256.  For the stable and gamma-mixture laws the
+    remainder V(t) - renewal_coef * t^alpha is bounded (it tends to 1/2),
+    so the two-term bound has exponent 0; for the Pareto stress case no
+    such bound is derived.
     """
     a = params.alpha
     log_coef = -(math.log(params.c) + gammaln(1.0 + a) + gammaln(1.0 - a))
-    i = np.arange(i_max + 1)
+    i = np.arange(257)
     log_power = i * (log_coef + gammaln(1.0 + a)) - gammaln(a * i + 1.0)
     return DerivedConstants(alpha=a, renewal_coef=math.exp(log_coef),
                             log_power_coefs=log_power)

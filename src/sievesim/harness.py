@@ -14,12 +14,14 @@ import os
 import warnings
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, asdict
+from typing import NamedTuple
 
 import numpy as np
 from scipy.special import gamma as gamma_fn
 
 from . import occupancy, perturbed_walk, renewal_numerics, stable_paths
 from .distributions import (
+    DerivedConstants,
     ModelParams,
     WLaw,
     constants,
@@ -34,6 +36,7 @@ from .streams import substream
 __all__ = [
     "DEFAULT_SEED",
     "ExperimentConfig",
+    "Row",
     "Report",
     "run_theorem_main",
     "run_theorem2",
@@ -142,6 +145,19 @@ class ExperimentConfig:
         return hashlib.sha256(blob.encode()).hexdigest()[:16]
 
 
+class Row(NamedTuple):
+    """One CSV row; the fields are the CSV columns in order.  Each cell is
+    "" (not applicable), an int or a Python float, so str() writes it
+    exactly."""
+
+    experiment: str
+    log_n_or_t: float | str
+    j: int | str
+    u: float | str
+    replica: int | str
+    value: float
+
+
 @dataclass
 class Report:
     """Result of one experiment: CSV rows, JSON summary, pass/fail checks."""
@@ -149,7 +165,7 @@ class Report:
     experiment: str
     config_hash: str
     seed: int
-    rows: list = field(default_factory=list)
+    rows: list[Row] = field(default_factory=list)
     summary: dict = field(default_factory=dict)
     checks: list = field(default_factory=list)
 
@@ -165,9 +181,8 @@ class Report:
             replica = list(range(len(values)))
         columns = [c if isinstance(c, list) else [c] * len(values)
                    for c in (log_n_or_t, j, u, replica)]
-        for x, jj, uu, r, val in zip(*columns, values, strict=True):
-            self.rows.append({"experiment": experiment, "log_n_or_t": x, "j": jj,
-                              "u": uu, "replica": r, "value": val})
+        self.rows.extend(Row(experiment, *cells)
+                         for cells in zip(*columns, values, strict=True))
 
     def add_check(self, name: str, value, threshold, passed: bool) -> None:
         self.checks.append({"name": name, "value": value,
@@ -193,6 +208,18 @@ class Report:
 def limit_mean_oracle(alpha: float, u: float) -> float:
     """Mean of the limit integral: (alpha u)^-alpha / Gamma(1-alpha)."""
     return (alpha * u) ** -alpha / gamma_fn(1.0 - alpha)
+
+
+def _normalizer(params: ModelParams, consts: DerivedConstants, j: int, level: int,
+                t: float, count: float) -> float:
+    """The depth-normalized count c j^alpha count / (rho_(level-1)
+    t^(alpha level)), evaluated in log space; 0.0 for a zero count.
+    level is floor(j u) and t is log n or the walk time."""
+    if count == 0:
+        return 0.0
+    a = params.alpha
+    return math.exp(math.log(params.c) + a * math.log(j) + math.log(count)
+                    - consts.log_power_coefs[level - 1] - a * level * math.log(t))
 
 
 def _map_chunks(worker, args_list, workers: int):
@@ -336,9 +363,8 @@ def run_theorem_main(config: ExperimentConfig) -> Report:
         log_n, j = config.log_n_list[i], config.j_list[i]
         counts, bias_frac = _occupancy_levels(config, i)
         levels = [math.floor(j * u) for u in u_list]
-        norm = np.array([[occupancy.normalize_counts(row[level - 1], log_n, params,
-                                                     consts, j, u)
-                          for level, u in zip(levels, u_list)] for row in counts])
+        norm = np.array([[_normalizer(params, consts, j, level, log_n, row[level - 1])
+                          for level in levels] for row in counts])
         for level, u in zip(levels, u_list):
             report.summary[f"bias_frac(log_n={log_n:g},u={u:g})"] = float(
                 bias_frac[level - 1])
@@ -365,13 +391,10 @@ def run_theorem_main(config: ExperimentConfig) -> Report:
 def _theorem2_chunk(static, rng, size):
     params, t, j, u_list, powers = static
     consts = constants(params)
-    a = params.alpha
     levels = [math.floor(j * u) for u in u_list]
     # the depth-(level-1) intensity weighs each walk point
     grids = [powers[level - 1] for level in levels]
-    scales = [math.exp(math.log(params.c) + a * math.log(j)
-                       - consts.log_power_coefs[level - 1] - a * level * math.log(t))
-              for level in levels]
+    scales = [_normalizer(params, consts, j, level, t, 1.0) for level in levels]
     walk = perturbed_walk.generate_walk(params, t, rng, size)
     norm = np.column_stack([perturbed_walk.weighted_sum_statistic(walk, grid, t) * scale
                             for grid, scale in zip(grids, scales)])
@@ -402,10 +425,7 @@ def run_theorem2(config: ExperimentConfig) -> Report:
 
 def _theorem3_chunk(static, rng, size):
     params, t, j, v_prev = static
-    consts = constants(params)
-    a = params.alpha
-    scale = math.exp(a * math.log(j) - consts.log_power_coefs[j - 1]
-                     - a * j * math.log(t))
+    scale = _normalizer(params, constants(params), j, j, t, 1.0)
     diffs = np.empty(size)
     counts = np.empty(size)
     for r in range(size):
@@ -587,29 +607,6 @@ def run_appendix_checks(seed: int = DEFAULT_SEED) -> Report:
 
 # ------------------------------------------------------------------------ emit
 
-_CSV_HEADER = "experiment,log_n_or_t,j,u,replica,value"
-
-
-def _csv_cell(x) -> str:
-    if x == "" or x is None:
-        return ""
-    if isinstance(x, (int, np.integer)):
-        return str(int(x))
-    if isinstance(x, float):
-        return repr(x)
-    return str(x)
-
-
-def _json_default(x):
-    if isinstance(x, (np.integer,)):
-        return int(x)
-    if isinstance(x, (np.floating,)):
-        return float(x)
-    if isinstance(x, np.ndarray):
-        return x.tolist()
-    return repr(x)
-
-
 def emit(report: Report, fmt: str = "both", out_dir: str = ".") -> list[str]:
     """Write the report as CSV rows and/or a JSON summary.
 
@@ -624,11 +621,9 @@ def emit(report: Report, fmt: str = "both", out_dir: str = ".") -> list[str]:
         path = os.path.join(out_dir, f"{report.experiment}.csv")
         try:
             with open(path, "w") as fh:
-                fh.write(_CSV_HEADER + "\n")
-                for row in report.rows:
-                    fh.write(",".join(_csv_cell(row[k]) for k in
-                                      ("experiment", "log_n_or_t", "j", "u",
-                                       "replica", "value")) + "\n")
+                fh.write(",".join(Row._fields) + "\n")
+                fh.writelines(f"{e},{x},{j},{u},{r},{v}\n"
+                              for e, x, j, u, r, v in report.rows)
         except OSError as exc:
             raise OSError(f"writing {path}: {exc}") from exc
         paths.append(path)
@@ -644,8 +639,7 @@ def emit(report: Report, fmt: str = "both", out_dir: str = ".") -> list[str]:
         }
         try:
             with open(path, "w") as fh:
-                json.dump(payload, fh, sort_keys=True, indent=2,
-                          default=_json_default)
+                json.dump(payload, fh, sort_keys=True, indent=2)
                 fh.write("\n")
         except OSError as exc:
             raise OSError(f"writing {path}: {exc}") from exc

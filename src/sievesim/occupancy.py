@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .distributions import DerivedConstants, ModelParams, sample_w_pair
+from .distributions import ModelParams, sample_w_pair
 from .perturbed_walk import w_pair_draw, walk_points
 
 __all__ = [
@@ -25,10 +25,10 @@ __all__ = [
     "expand_tree",
     "throw_balls_exact",
     "occupancy_poissonized",
-    "normalize_counts",
 ]
 
 _EXACT_MODE_MAX_BALLS = 10 ** 7
+_NODE_CAP = 10 ** 8  # retained nodes per level
 
 
 @dataclass
@@ -68,7 +68,7 @@ class OccupancyResult:
 
 
 def expand_tree(params: ModelParams, max_level: int, rng: np.random.Generator, *,
-                neglog_threshold: float, node_cap: int = 10 ** 8) -> OccupancyTree:
+                neglog_threshold: float) -> OccupancyTree:
     """Breadth-first expansion retaining boxes of mass >= e^-neglog_threshold.
 
     Each level runs the perturbed walk from every retained parent's -log
@@ -94,10 +94,10 @@ def expand_tree(params: ModelParams, max_level: int, rng: np.random.Generator, *
         parent, neglog, pruned_at[level - 1] = walk_points(draw, parent_neglog, t_star, rng)
         parents.append(parent)
         neglogs.append(neglog)
-        if neglog.size > node_cap:
+        if neglog.size > _NODE_CAP:
             raise RuntimeError(
                 f"retained nodes at level {level} exceed the cap "
-                f"({neglog.size} > {node_cap}); raise the threshold or the cap")
+                f"({neglog.size} > {_NODE_CAP}); raise the threshold")
         parent_neglog = neglog
     return OccupancyTree(max_level=max_level, parents=parents, neglogs=neglogs,
                          pruned_at=pruned_at)
@@ -172,21 +172,3 @@ def occupancy_poissonized(tree: OccupancyTree, log_n: float,
                 f"pruned bias bound at level {j + 1} is {bias[j]:.3g}, more than 1% "
                 f"of the count {level_counts[j]}", RuntimeWarning, stacklevel=2)
     return OccupancyResult(counts=level_counts, pruned_bias_bound=bias)
-
-
-def normalize_counts(count, log_n: float, params: ModelParams,
-                     consts: DerivedConstants, j: float, u: float) -> float:
-    """The depth-normalized count c j^alpha K(floor(j u)) /
-    (rho_(floor(ju)-1) (log n)^(alpha floor(ju))), evaluated in log space;
-    count is K(floor(j u)), the occupied boxes at level floor(j u)."""
-    level = math.floor(j * u)
-    if level < 1:
-        raise ValueError(f"floor(j*u) = {level}; the statistic needs level >= 1")
-    if count == 0:
-        return 0.0
-    a = params.alpha
-    log_val = (math.log(params.c) + a * math.log(j) + math.log(count)
-               - consts.log_power_coefs[level - 1]
-               - a * level * math.log(log_n))
-    return math.exp(log_val)
-

@@ -128,9 +128,8 @@ def sample_limit_integrals(alpha: float, u_list, n_draws: int, rng: np.random.Ge
     return values, tails
 
 
-def sample_fixed_level_limits(alpha: float, js, n_draws: int, rng: np.random.Generator,
-                              y_step: float | None = None,
-                              v_step: float | None = None) -> np.ndarray:
+def sample_fixed_level_limits(alpha: float, js, n_draws: int,
+                              rng: np.random.Generator) -> np.ndarray:
     """Joint draws of the fixed-level limits at every depth j in js: the
     pathwise Stieltjes integrals of (1-y)^(alpha*(j-1)) over [0,1] against
     one inverse path per draw.  Returns shape (n_draws, len(js)).
@@ -138,14 +137,13 @@ def sample_fixed_level_limits(alpha: float, js, n_draws: int, rng: np.random.Gen
     Each column has its depth's marginal law, and the integrand decreases
     in j, so each draw is nonincreasing along increasing depths.  For j = 1
     the integrand is 1 and the draw is exactly the grid first-passage time
-    of level 1.
+    of level 1.  The level grid step is 2^-14 and the time step
+    inverse_mean_coef(alpha) / 1024.
     """
     if len(js) == 0 or any(j < 1 for j in js):
         raise ValueError("js must be nonempty positive integers")
-    if y_step is None:
-        y_step = 1.0 / 2 ** 14
-    if v_step is None:
-        v_step = inverse_mean_coef(alpha) / 1024.0
+    y_step = 1.0 / 2 ** 14
+    v_step = inverse_mean_coef(alpha) / 1024.0
     m = int(round(1.0 / y_step))
     # table[idx]: mass falling in bin (y_(idx-1), y_idx] is scored with the
     # midpoint integrand; the origin atom (idx 0) with the left endpoint.

@@ -1,3 +1,4 @@
+import csv
 import hashlib
 import json
 import warnings
@@ -12,6 +13,8 @@ from sievesim.distributions import ModelParams, WLaw
 from sievesim.harness import (
     ExperimentConfig,
     Report,
+    Row,
+    _normalizer,
     emit,
     limit_mean_oracle,
     run_appendix_checks,
@@ -21,7 +24,9 @@ from sievesim.harness import (
     run_theorem3,
     run_theorem_main,
 )
+from sievesim.occupancy import expand_tree, occupancy_poissonized
 from sievesim.stats import ks_two_sample, rank_correlation
+from sievesim.streams import substream
 
 
 def small_config(**kw):
@@ -138,8 +143,7 @@ class TestConfigValidation:
 class TestEmit:
     def _tiny_report(self):
         rep = Report("demo", "abc123", 7)
-        rep.rows.append({"experiment": "demo", "log_n_or_t": 10.0, "j": 2,
-                         "u": 1.0, "replica": 0, "value": 0.25})
+        rep.add_rows("demo", [0.25], 10.0, 2, 1.0)
         rep.summary["metric"] = 0.5
         rep.add_check("check", 0.5, 1.0, True)
         return rep
@@ -173,6 +177,52 @@ class TestEmit:
         with pytest.raises(ValueError):
             emit(self._tiny_report(), "xml", str(tmp_path))
 
+    def test_csv_round_trips_every_cell(self, tmp_path):
+        rep = Report("demo", "abc", 1)
+        rep.add_rows("demo", [5e-324, 1e300, 0.1 + 0.2, -0.0], 10.0, 3, "")
+        rep.add_rows("demo/grid", [-1.5, 2.0], log_n_or_t=[0.0, 2.5], replica="")
+        emit(rep, "csv", str(tmp_path))
+        with open(tmp_path / "demo.csv", newline="") as fh:
+            header, *cells = csv.reader(fh)
+        assert ",".join(header) == ",".join(Row._fields)
+        cast = [str, float, int, float, int, float]
+        back = [Row(*(kind(c) if c else c for kind, c in zip(cast, row)))
+                for row in cells]
+        assert back == rep.rows
+        # == does not tell -0.0 from 0.0 or 10 from 10.0; the text does
+        assert cells[0] == ["demo", "10.0", "3", "", "0", "5e-324"]
+        assert cells[3][5] == "-0.0" and cells[4][:5] == ["demo/grid", "0.0", "", "", ""]
+
+    def test_json_rejects_numpy_scalars(self, tmp_path):
+        rep = self._tiny_report()
+        rep.summary["count"] = np.int64(1)
+        with pytest.raises(TypeError):
+            emit(rep, "json", str(tmp_path))
+
+
+class TestNormalizer:
+    @pytest.fixture
+    def counts(self, case_a):
+        tree = expand_tree(case_a, 3, neglog_threshold=20.0, rng=substream(20, 0))
+        return lambda idx: occupancy_poissonized(tree, 15.0, substream(30, idx)).counts
+
+    def test_formula_depth_one(self, counts, case_a, consts_a):
+        count = counts(0)[0]
+        got = _normalizer(case_a, consts_a, 1, 1, 15.0, count)
+        expected = case_a.c * count / 15.0 ** 0.5
+        assert got == pytest.approx(expected, rel=1e-12)
+
+    def test_linear_in_c(self, counts, consts_a):
+        count = counts(1)[1]
+        p1 = ModelParams(c=1.0)
+        p2 = ModelParams(c=2.0)
+        v1 = _normalizer(p1, consts_a, 2, 2, 15.0, count)
+        v2 = _normalizer(p2, consts_a, 2, 2, 15.0, count)
+        assert v2 == pytest.approx(2.0 * v1, rel=1e-12)
+
+    def test_zero_count(self, case_a, consts_a):
+        assert _normalizer(case_a, consts_a, 1, 1, 10.0, 0) == 0.0
+
 
 class TestRunners:
     def test_theorem_main_structure(self):
@@ -184,7 +234,7 @@ class TestRunners:
         assert any(n.startswith("mean_within_15pct") for n in names)
         assert "mean(log_n=25,u=1)" in rep.summary
         assert len([r for r in rep.rows
-                    if r["experiment"] == "theorem-main/count"]) == 2 * 150
+                    if r.experiment == "theorem-main/count"]) == 2 * 150
 
     def test_theorem_main_reports_bias_through_its_check(self):
         # pruning at 1/(e^2 n) leaves a bias bound far above 1% of the count;
@@ -207,7 +257,7 @@ class TestRunners:
         cfg = small_config(log_n_list=(25.0,), j_list=(1,), replicas=120,
                            grid_replicas=500)
         rep = run_theorem3(cfg)
-        diffs = [r["value"] for r in rep.rows]
+        diffs = [r.value for r in rep.rows]
         assert np.max(np.abs(diffs)) == 0.0
 
     def test_fixed_level_reports(self):
@@ -229,8 +279,8 @@ class TestRunners:
         cfg = small_config(log_n_list=(25.0,), j_list=(2,), u_list=(0.5,),
                            replicas=120, grid_replicas=500, limit_draws=300)
         rep = run_theorem2(cfg)
-        vals = np.array([r["value"] for r in rep.rows
-                         if r["experiment"] == "theorem-2/statistic"])
+        vals = np.array([r.value for r in rep.rows
+                         if r.experiment == "theorem-2/statistic"])
         unit = 2.0 ** 0.5 / 25.0 ** 0.5
         ticks = vals / unit
         assert np.allclose(ticks, np.round(ticks), atol=1e-9)

@@ -4,11 +4,11 @@ import warnings
 import numpy as np
 import pytest
 
+from sievesim import occupancy
 from sievesim.distributions import ModelParams
 from sievesim.occupancy import (
     OccupancyTree,
     expand_tree,
-    normalize_counts,
     occupancy_poissonized,
     throw_balls_exact,
 )
@@ -60,10 +60,10 @@ class TestExpandTree:
         with pytest.raises(ValueError):
             expand_tree(case_a, 0, neglog_threshold=1.0, rng=rng)
 
-    def test_node_cap(self, case_a):
+    def test_node_cap(self, case_a, monkeypatch):
+        monkeypatch.setattr(occupancy, "_NODE_CAP", 3)
         with pytest.raises(RuntimeError, match="cap"):
-            expand_tree(case_a, 2, neglog_threshold=100.0, rng=substream(24, 0),
-                        node_cap=3)
+            expand_tree(case_a, 2, neglog_threshold=100.0, rng=substream(24, 0))
 
     def test_determinism(self, case_a):
         a = expand_tree(case_a, 3, neglog_threshold=18.0, rng=substream(25, 0))
@@ -188,26 +188,3 @@ class TestPoissonized:
     def test_log_n_validation(self, small_tree, rng):
         with pytest.raises(ValueError):
             occupancy_poissonized(small_tree, 0.0, rng)
-
-
-class TestNormalizeCounts:
-    def test_formula_depth_one(self, small_tree, case_a, consts_a):
-        res = occupancy_poissonized(small_tree, 15.0, substream(30, 0))
-        got = normalize_counts(res.counts[0], 15.0, case_a, consts_a, 1, 1.0)
-        expected = case_a.c * res.counts[0] / 15.0 ** 0.5
-        assert got == pytest.approx(expected, rel=1e-12)
-
-    def test_linear_in_c(self, small_tree, consts_a):
-        res = occupancy_poissonized(small_tree, 15.0, substream(30, 1))
-        p1 = ModelParams(c=1.0)
-        p2 = ModelParams(c=2.0)
-        v1 = normalize_counts(res.counts[1], 15.0, p1, consts_a, 2, 1.0)
-        v2 = normalize_counts(res.counts[1], 15.0, p2, consts_a, 2, 1.0)
-        assert v2 == pytest.approx(2.0 * v1, rel=1e-12)
-
-    def test_level_errors(self, case_a, consts_a):
-        with pytest.raises(ValueError):
-            normalize_counts(5, 15.0, case_a, consts_a, 1, 0.5)  # floor(j u) = 0
-
-    def test_zero_count(self, case_a, consts_a):
-        assert normalize_counts(0, 10.0, case_a, consts_a, 1, 1.0) == 0.0

@@ -169,7 +169,7 @@ class TestFixedLevel:
     def test_depth_one_is_first_passage(self, rng):
         # integrand 1: the draw is exactly the grid passage time of level 1
         v_step = inverse_mean_coef(0.5) / 1024.0
-        draws = sample_fixed_level_limits(0.5, [1], 2 * 10 ** 4, rng, v_step=v_step)[:, 0]
+        draws = sample_fixed_level_limits(0.5, [1], 2 * 10 ** 4, rng)[:, 0]
         ticks = draws / v_step
         assert np.allclose(ticks, np.round(ticks), atol=1e-6)
         ref = inverse_marginal_exact(0.5, 1.0, 2 * 10 ** 4, rng)
