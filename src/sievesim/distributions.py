@@ -78,15 +78,11 @@ class DerivedConstants:
     renewal_coef is the coefficient of t^alpha in the renewal function;
     exp(log_power_coefs[j]) is the coefficient of t^(alpha*j) in the j-fold
     convolution power of the intensity function (log_power_coefs[0] = 0).
-    residual_coef is the constant D of the two-term bound
-    |V(t) - renewal_coef * t^alpha| <= D, measured from a grid estimate
-    (fit_two_term), not derived.
     """
 
     alpha: float
     renewal_coef: float
     log_power_coefs: np.ndarray
-    residual_coef: float | None = None
 
 
 @dataclass

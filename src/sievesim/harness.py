@@ -10,6 +10,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import operator
 import os
 import warnings
 from concurrent.futures import ProcessPoolExecutor
@@ -87,6 +88,10 @@ class ExperimentConfig:
     fmt: str = "both"
 
     def __post_init__(self):
+        # counts are exact integers: a float count fails here, and a
+        # numpy integer hashes like the equal Python int
+        for name in ("replicas", "seed", "limit_draws", "grid_replicas", "workers"):
+            setattr(self, name, operator.index(getattr(self, name)))
         self.log_n_list = tuple(float(x) for x in self.log_n_list)
         self.u_list = tuple(float(u) for u in self.u_list)
         # the default rule is the paper's own choice; warn near the cap only
@@ -141,7 +146,7 @@ class ExperimentConfig:
         # execution and output details do not change the results
         for key in ("workers", "fmt"):
             payload.pop(key, None)
-        blob = json.dumps(payload, sort_keys=True, default=repr)
+        blob = json.dumps(payload, sort_keys=True)
         return hashlib.sha256(blob.encode()).hexdigest()[:16]
 
 
@@ -307,14 +312,11 @@ def _occupancy_chunk(static, rng, size):
     params, log_n, max_level, neglog_t = static
     counts = np.empty((size, max_level), dtype=np.int64)
     bias = np.empty((size, max_level))
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", RuntimeWarning)
-        for r in range(size):
-            tree = occupancy.expand_tree(params, max_level,
-                                         neglog_threshold=neglog_t, rng=rng)
-            res = occupancy.occupancy_poissonized(tree, log_n, rng)
-            counts[r] = res.counts
-            bias[r] = res.pruned_bias_bound
+    for r in range(size):
+        tree = occupancy.expand_tree(params, max_level, neglog_threshold=neglog_t, rng=rng)
+        res = occupancy.occupancy_poissonized(tree, log_n, rng)
+        counts[r] = res.counts
+        bias[r] = res.pruned_bias_bound
     return counts, bias
 
 
@@ -525,11 +527,10 @@ def run_verify_bounds(config: ExperimentConfig) -> Report:
     j_max = 6
     grid_v = _grid(config, renewal_numerics.estimate_V, 3)
     consts = constants(config.params)
-    consts.residual_coef = renewal_numerics.fit_two_term(
-        grid_v, consts.renewal_coef, consts.alpha)
+    residual_coef = renewal_numerics.fit_two_term(grid_v, consts.renewal_coef, consts.alpha)
     powers = renewal_numerics.convolution_powers(grid_v, j_max)
-    chain = renewal_numerics.check_vj_bound_chain(powers, consts)
-    report.summary["fitted_residual_coef"] = consts.residual_coef
+    chain = renewal_numerics.check_vj_bound_chain(powers, consts, residual_coef)
+    report.summary["fitted_residual_coef"] = residual_coef
     report.summary["n_checked"] = chain.n_checked
     report.summary["n_violations"] = len(chain.violations)
     report.summary["violations"] = chain.violations[:20]
@@ -613,10 +614,10 @@ def emit(report: Report, fmt: str = "both", out_dir: str = ".") -> list[str]:
     Output bytes depend only on the report content: identical configuration
     and seed give identical files.
     """
-    os.makedirs(out_dir, exist_ok=True)
-    paths = []
     if fmt not in ("csv", "json", "both"):
         raise ValueError(f"unknown format {fmt!r}")
+    os.makedirs(out_dir, exist_ok=True)
+    paths = []
     if fmt in ("csv", "both"):
         path = os.path.join(out_dir, f"{report.experiment}.csv")
         try:

@@ -11,7 +11,6 @@ deepest retained level and propagated through prefixes.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -23,11 +22,9 @@ __all__ = [
     "OccupancyTree",
     "OccupancyResult",
     "expand_tree",
-    "throw_balls_exact",
     "occupancy_poissonized",
 ]
 
-_EXACT_MODE_MAX_BALLS = 10 ** 7
 _NODE_CAP = 10 ** 8  # retained nodes per level
 
 
@@ -117,30 +114,6 @@ def _propagate_counts(tree: OccupancyTree, leaf_occupied: np.ndarray) -> np.ndar
     return counts
 
 
-def throw_balls_exact(tree: OccupancyTree, n: int, rng: np.random.Generator) -> OccupancyResult:
-    """Throw exactly n balls: one multinomial over the retained deepest-level
-    boxes plus one pruned bucket per level.
-
-    Bucket balls are real but land in unstored boxes, so they feed the bias
-    bound instead of the counts; a bucket at level l hides occupancy at all
-    levels >= l, hence the cumulative bound.
-    """
-    if not 1 <= n <= _EXACT_MODE_MAX_BALLS:
-        raise ValueError(f"exact mode supports 1 <= n <= {_EXACT_MODE_MAX_BALLS}")
-    leaf_p = np.exp(-tree.neglogs[tree.max_level - 1])
-    probs = np.concatenate([leaf_p, tree.pruned_at])
-    total = probs.sum()
-    if total > 1.0 + 1e-9:
-        raise AssertionError(f"probabilities sum to {total}")
-    counts = rng.multinomial(n, probs / total)
-    nj = leaf_p.size
-    leaf_occupied = counts[:nj] > 0
-    bucket_balls = counts[nj:]
-    level_counts = _propagate_counts(tree, leaf_occupied)
-    bias = np.cumsum(bucket_balls).astype(float)
-    return OccupancyResult(counts=level_counts, pruned_bias_bound=bias)
-
-
 def occupancy_poissonized(tree: OccupancyTree, log_n: float,
                           rng: np.random.Generator) -> OccupancyResult:
     """Poissonized occupancy for n = e^log_n balls.
@@ -166,9 +139,4 @@ def occupancy_poissonized(tree: OccupancyTree, log_n: float,
     for j in range(1, tree.max_level + 1):
         mass = tree.pruned_mass(j)
         bias[j - 1] = math.exp(log_n + math.log(mass)) if mass > 0.0 else 0.0
-    for j in range(tree.max_level):
-        if level_counts[j] > 0 and bias[j] > 0.01 * level_counts[j]:
-            warnings.warn(
-                f"pruned bias bound at level {j + 1} is {bias[j]:.3g}, more than 1% "
-                f"of the count {level_counts[j]}", RuntimeWarning, stacklevel=2)
     return OccupancyResult(counts=level_counts, pruned_bias_bound=bias)

@@ -29,9 +29,7 @@ __all__ = [
     "fit_two_term",
     "check_vj_bound_chain",
     "uniform_ratio_sup",
-    "check_u_equation",
     "BoundReport",
-    "UEquationReport",
 ]
 
 _BATCH = 4096
@@ -197,10 +195,12 @@ def _power_term(consts: DerivedConstants, j: int, t: np.ndarray) -> np.ndarray:
     return out
 
 
-def check_vj_bound_chain(v_list: list[GridFunction], consts: DerivedConstants) -> BoundReport:
+def check_vj_bound_chain(v_list: list[GridFunction], consts: DerivedConstants,
+                         residual_coef: float) -> BoundReport:
     """Verify the deviation bounds of the convolution powers on the grid.
 
-    With the two-term bound |V(t) - C t^alpha| <= D, for every power
+    With the two-term bound |V(t) - C t^alpha| <= D, D = residual_coef
+    (measured by fit_two_term), for every power
     j <= len(v_list) and grid point t the binomial-sum deviation envelope
     sum_(i<j) binom(j,i) (C Gamma(alpha+1))^i D^(j-i) t^(alpha i) / Gamma(alpha i+1)
     is asserted; where the smallness condition
@@ -212,12 +212,10 @@ def check_vj_bound_chain(v_list: list[GridFunction], consts: DerivedConstants) -
     |V_j / (rho_j t^(alpha j)) - 1| over t >= horizon / 8 goes to
     uniform_sups[j].
     """
-    if consts.residual_coef is None:
-        raise ValueError("fit residual_coef (fit_two_term) before checking bounds")
     v = v_list[0]
     j_max = len(v_list)
     alpha = consts.alpha
-    coef, dd = consts.renewal_coef, consts.residual_coef
+    coef, dd = consts.renewal_coef, residual_coef
     h = v.step
     t = v.grid()
     log_t = _log_t(t)
@@ -296,80 +294,3 @@ def uniform_ratio_sup(v_list: list[GridFunction], consts: DerivedConstants, j: i
         raise ValueError("y_min is beyond the grid horizon")
     target = _power_term(consts, j, t[mask])
     return float(np.max(np.abs(vj.values[mask] / target - 1.0)))
-
-
-@dataclass
-class UEquationReport:
-    rows: list
-
-    @property
-    def passed(self) -> bool:
-        return all(r["ok"] for r in self.rows)
-
-
-def check_u_equation(params: ModelParams, t_list, n_mc: int,
-                     rng: np.random.Generator) -> UEquationReport:
-    """Dual-estimator check of the renewal function.
-
-    The grid estimate of U(t) is compared with the average of
-    Uhat(Z^-alpha t^alpha) over stable draws Z, where Uhat is the renewal
-    function of the mean-one scaling walk: floor(x)+1 exactly for the stable
-    law (degenerate scaling) and a Monte Carlo grid for the gamma mixture.
-    Agreement is asserted within 4 combined standard errors.  The U grid
-    has step max(t_list) / 2^12.
-    """
-    from .distributions import WLaw, sample_positive_stable
-
-    if params.law is WLaw.PARETO:
-        raise ValueError("the scaling-walk identity holds for the stable and "
-                         "gamma-mixture laws only")
-    t_arr = np.asarray(t_list, dtype=float)
-    horizon = float(t_arr.max())
-    step = horizon / 2 ** 12 if horizon > 0 else 1.0
-
-    grid_u = (estimate_U(params, horizon, step, n_mc, rng)
-              if horizon > 0 else None)
-
-    z = sample_positive_stable(params.alpha, params.c, rng, n_mc)
-    b = z ** (-params.alpha)
-
-    uhat_grid = None
-    if params.law is WLaw.GAMMA_MIXTURE:
-        x_max = float(b.max()) * horizon ** params.alpha * 1.05 + 1.0
-        x_step = x_max / 2 ** 12
-        kappa = params.kappa
-
-        def draw_gamma(rng_, n):
-            inc = rng_.gamma(shape=kappa, scale=1.0 / kappa, size=n)
-            return inc, inc
-
-        mean, se = _count_grid_mc(draw_gamma, x_max, x_step, n_mc, rng, origin_mass=True)
-        uhat_grid = GridFunction(step=x_step, values=mean, se=se)
-
-    rows = []
-    for t in t_arr:
-        if t == 0.0:
-            lhs, lhs_se = 1.0, 0.0
-            rhs_draws = np.ones_like(b)
-            uhat_se = 0.0
-        else:
-            idx = int(round(t / step))
-            lhs = float(grid_u.values[idx])
-            lhs_se = float(grid_u.se[idx])
-            x = b * t ** params.alpha
-            if params.law is WLaw.STABLE:
-                rhs_draws = np.floor(x) + 1.0
-                uhat_se = 0.0
-            else:
-                rhs_draws = uhat_grid(x)
-                uhat_se = float(np.mean(uhat_grid.se[np.minimum(
-                    np.round(x / uhat_grid.step).astype(np.int64),
-                    uhat_grid.se.size - 1)]))
-        rhs = float(np.mean(rhs_draws))
-        rhs_se = float(np.std(rhs_draws) / math.sqrt(rhs_draws.size))
-        se = math.sqrt(lhs_se ** 2 + rhs_se ** 2 + uhat_se ** 2)
-        rows.append({
-            "t": float(t), "lhs": lhs, "rhs": rhs, "combined_se": se,
-            "ok": bool(abs(lhs - rhs) <= 4.0 * se + 1e-12),
-        })
-    return UEquationReport(rows=rows)

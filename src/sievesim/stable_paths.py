@@ -19,7 +19,6 @@ __all__ = [
     "inverse_mean_coef",
     "sample_limit_integrals",
     "sample_fixed_level_limits",
-    "default_limit_grid",
 ]
 
 _WAVE = 256  # increments drawn per path per vectorized round
@@ -76,17 +75,7 @@ def _accumulate_crossings(alpha, n_paths, y_horizon, y_step, v_step, tables, rng
     return scores, counts
 
 
-def default_limit_grid(alpha: float, u_min: float) -> tuple[float, float, float]:
-    """Default (y_horizon, y_step, v_step): horizon 40/(alpha*u_min), both
-    grids horizon / 2^14, making the analytic tail bound negligible."""
-    y_horizon = 40.0 / (alpha * u_min)
-    step = y_horizon / 2 ** 14
-    return y_horizon, step, step
-
-
-def sample_limit_integrals(alpha: float, u_list, n_draws: int, rng: np.random.Generator,
-                           y_horizon: float | None = None, y_step: float | None = None,
-                           v_step: float | None = None):
+def sample_limit_integrals(alpha: float, u_list, n_draws: int, rng: np.random.Generator):
     """Joint draws of the exponential integrals against one inverse path.
 
     For each draw one inverse path feeds every u in u_list; the integral
@@ -97,18 +86,17 @@ def sample_limit_integrals(alpha: float, u_list, n_draws: int, rng: np.random.Ge
     per path point, keeping each draw exactly nonincreasing in u.  Returns
     (values, tails), both shaped (n_draws, len(u_list)); tails are the
     reported truncation bounds e^(-alpha u Y) inverse(Y) (1 + 1/(alpha u)).
+    The horizon Y is 40/(alpha u_min) and both grid steps are Y / 2^14,
+    making the tail bound negligible.
 
     Raises when any reported tail bound exceeds 1e-3 of its estimate.
     """
     u_arr = np.asarray(u_list, dtype=float)
     if u_arr.size == 0 or np.any(u_arr <= 0.0):
         raise ValueError("u_list must be nonempty positive reals")
-    if y_horizon is None or y_step is None or v_step is None:
-        yh, ys, vs = default_limit_grid(alpha, float(u_arr.min()))
-        y_horizon = yh if y_horizon is None else y_horizon
-        y_step = ys if y_step is None else y_step
-        v_step = vs if v_step is None else v_step
-    m = int(round(y_horizon / y_step))
+    m = 2 ** 14
+    y_horizon = 40.0 / (alpha * float(u_arr.min()))
+    y_step = v_step = y_horizon / m
     y_grid = np.arange(m + 1) * y_step
     # exact by-parts value for the step inverse: v_step * sum_k e^(-a u Y_k)
     # with Y_k the level-grid point just above the k-th path value
@@ -123,8 +111,7 @@ def sample_limit_integrals(alpha: float, u_list, n_draws: int, rng: np.random.Ge
         values[:, i] = v_step * scores[i]
         tails[:, i] = np.exp(-au * y_horizon) * inv_y * (1.0 + 1.0 / au)
     if np.any(tails > 1e-3 * np.maximum(values, 1e-300)):
-        raise ValueError("truncation too coarse: tail bound exceeds 1e-3 of the estimate; "
-                         "increase y_horizon")
+        raise ValueError("truncation too coarse: tail bound exceeds 1e-3 of the estimate")
     return values, tails
 
 

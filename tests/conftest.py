@@ -32,6 +32,5 @@ def consts_a(case_a):
 def grids400(case_a, consts_a):
     """Shared intensity grid on [0, 400] with its convolution powers."""
     v = estimate_V(case_a, 400.0, 400.0 / 4096, 30000, substream(TEST_SEED, 100))
-    consts = constants(case_a)
-    consts.residual_coef = fit_two_term(v, consts.renewal_coef, consts.alpha)
-    return {"v": v, "powers": convolution_powers(v, 6), "consts": consts}
+    return {"v": v, "powers": convolution_powers(v, 6), "consts": consts_a,
+            "residual_coef": fit_two_term(v, consts_a.renewal_coef, consts_a.alpha)}

@@ -57,10 +57,11 @@ def golden_config(workers: int = 1) -> harness.ExperimentConfig:
 
 
 def run_report(command: str, workers: int = 1) -> harness.Report:
-    if command == "appendix":
-        return harness.run_appendix_checks(APPENDIX_SEED)
+    # a warning that a runner raises here fails the test instead of hiding
     with warnings.catch_warnings():
-        warnings.simplefilter("ignore", RuntimeWarning)
+        warnings.simplefilter("error")
+        if command == "appendix":
+            return harness.run_appendix_checks(APPENDIX_SEED)
         return cli._RUNNERS[command](golden_config(workers))
 
 

@@ -139,6 +139,18 @@ class TestConfigValidation:
         c = small_config(seed=1)
         assert a.config_hash() != c.config_hash()
 
+    def test_numpy_counts_hash_like_python_ints(self):
+        plain = ExperimentConfig(replicas=200, seed=5)
+        numpy_ = ExperimentConfig(replicas=np.int64(200), seed=np.int32(5))
+        assert numpy_.config_hash() == plain.config_hash()
+        assert type(numpy_.replicas) is int and type(numpy_.seed) is int
+
+    @pytest.mark.parametrize("name", ["replicas", "seed", "limit_draws",
+                                      "grid_replicas", "workers"])
+    def test_float_count_rejected(self, name):
+        with pytest.raises(TypeError):
+            small_config(**{name: 200.0})
+
 
 class TestEmit:
     def _tiny_report(self):
@@ -174,8 +186,11 @@ class TestEmit:
         assert payload["summary"]["metric"] == 0.5
 
     def test_bad_format(self, tmp_path):
-        with pytest.raises(ValueError):
-            emit(self._tiny_report(), "xml", str(tmp_path))
+        # rejected before anything is written, the output directory included
+        out = tmp_path / "new"
+        with pytest.raises(ValueError, match="format"):
+            emit(self._tiny_report(), "xml", str(out))
+        assert not out.exists()
 
     def test_csv_round_trips_every_cell(self, tmp_path):
         rep = Report("demo", "abc", 1)
@@ -226,9 +241,7 @@ class TestNormalizer:
 
 class TestRunners:
     def test_theorem_main_structure(self):
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", RuntimeWarning)
-            rep = run_theorem_main(small_config())
+        rep = run_theorem_main(small_config())
         names = {c["name"] for c in rep.checks}
         assert "bias_fraction<=0.01" in names
         assert any(n.startswith("mean_within_15pct") for n in names)
@@ -239,10 +252,8 @@ class TestRunners:
     def test_theorem_main_reports_bias_through_its_check(self):
         # pruning at 1/(e^2 n) leaves a bias bound far above 1% of the count;
         # the run must finish and fail its check, not abort
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", RuntimeWarning)
-            rep = run_theorem_main(small_config(log_n_list=(25.0,), j_list=(2,),
-                                                threshold_rule="offset:-2"))
+        rep = run_theorem_main(small_config(log_n_list=(25.0,), j_list=(2,),
+                                            threshold_rule="offset:-2"))
         check = next(c for c in rep.checks if c["name"] == "bias_fraction<=0.01")
         assert not check["passed"]
         assert check["value"] == pytest.approx(1.81, abs=0.01)
@@ -299,10 +310,7 @@ class TestWorkerDeterminism:
     def test_outputs_identical_across_worker_counts(self, tmp_path):
         digests = []
         for workers in (1, 4):
-            cfg = small_config(workers=workers)
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore", RuntimeWarning)
-                rep = run_theorem_main(cfg)
+            rep = run_theorem_main(small_config(workers=workers))
             out = tmp_path / f"w{workers}"
             emit(rep, "both", str(out))
             blob = b"".join(sorted(p.read_bytes() for p in out.iterdir()))

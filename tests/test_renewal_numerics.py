@@ -6,12 +6,11 @@ from hypothesis import given, settings, strategies as st
 from scipy.special import gamma as gamma_fn
 from scipy.stats import binom
 
-from sievesim.distributions import ModelParams, WLaw, constants, laplace_xi, sample_w_pair
+from sievesim.distributions import ModelParams, WLaw, laplace_xi, sample_w_pair
 from sievesim.renewal_numerics import (
     _BATCH,
     GridFunction,
     _count_grid_mc,
-    check_u_equation,
     check_vj_bound_chain,
     convolution_powers,
     convolve,
@@ -21,6 +20,8 @@ from sievesim.renewal_numerics import (
     uniform_ratio_sup,
 )
 from sievesim.streams import substream
+
+from count_oracles import check_u_equation
 
 
 # --- exact lattice toy model: xi uniform on {1,2}, eta = 1/2 ---------------
@@ -262,7 +263,7 @@ class TestConvolutionPowers:
         # (j, t); for small t the ratio provably diverges (the intensity
         # vanishes logarithmically, the power envelope polynomially)
         consts = grids400["consts"]
-        dd = consts.residual_coef
+        dd = grids400["residual_coef"]
         coef = consts.renewal_coef
         checked = 0
         for j in range(1, 7):
@@ -291,24 +292,19 @@ class TestFitAndBounds:
                       <= d + 1e-12)
 
     def test_fit_stable_under_horizon_doubling(self, grids400, case_a, consts_a):
-        d400 = grids400["consts"].residual_coef
+        d400 = grids400["residual_coef"]
         v800 = estimate_V(case_a, 800.0, 800.0 / 4096, 30000, substream(12, 0))
         d800 = fit_two_term(v800, consts_a.renewal_coef, 0.5)
         assert 0.8 <= d800 / d400 <= 1.25
 
     def test_bound_chain_no_violations(self, grids400):
         powers = grids400["powers"]
-        report = check_vj_bound_chain(powers, grids400["consts"])
+        report = check_vj_bound_chain(powers, grids400["consts"], grids400["residual_coef"])
         assert report.passed, report.violations[:3]
         assert report.n_checked > 10 ** 4
         # the deviation envelope alone checks every grid point t > 0 once per
         # depth; more checks mean the simplified bounds were exercised too
         assert report.n_checked > sum(p.values.size - 1 for p in powers)
-
-    def test_requires_fitted_residual(self, grids400, consts_a):
-        fresh = constants(ModelParams())
-        with pytest.raises(ValueError, match="fit"):
-            check_vj_bound_chain(grids400["powers"][:2], fresh)
 
     def test_uniform_ratio_shrinks_with_horizon(self, grids400, case_a, consts_a):
         # sup over y >= gamma*horizon of |V_4 ratio - 1| decreases as the

@@ -9,7 +9,6 @@ from sievesim.stable_paths import (
     _BATCH,
     _WAVE,
     _accumulate_crossings,
-    default_limit_grid,
     inverse_mean_coef,
     sample_fixed_level_limits,
     sample_limit_integrals,
@@ -17,6 +16,22 @@ from sievesim.stable_paths import (
 from sievesim.stats import ks_two_sample
 
 from inverse_oracles import inverse_at_level, inverse_marginal_exact, self_similarity_check
+
+
+def limit_grid(alpha, u_min):
+    """The limit sampler's fixed grid (y_horizon, y_step, v_step): horizon
+    40/(alpha u_min), both steps horizon / 2^14."""
+    y_horizon = 40.0 / (alpha * u_min)
+    return y_horizon, y_horizon / 2 ** 14, y_horizon / 2 ** 14
+
+
+def limit_integrals_on_grid(alpha, u, n_draws, rng, y_horizon, y_step, v_step):
+    """Limit-integral draws at one u on a given grid, scored by the same
+    crossing kernel and exponential table as sample_limit_integrals."""
+    table = np.exp(-alpha * u * np.arange(round(y_horizon / y_step) + 1) * y_step)
+    scores, _ = _accumulate_crossings(alpha, n_draws, y_horizon, y_step, v_step,
+                                      [table], rng)
+    return v_step * scores[0]
 
 
 def limit_mean_quadrature(alpha, u):
@@ -120,7 +135,7 @@ class TestInvertPath:
 class TestLimitIntegral:
     def test_mean_u1_u2(self, rng):
         vals, tails = sample_limit_integrals(0.5, [1.0, 2.0], 10 ** 5, rng)
-        y_horizon, y_step, v_step = default_limit_grid(0.5, 1.0)
+        y_horizon, y_step, v_step = limit_grid(0.5, 1.0)
         for k, u in enumerate((1.0, 2.0)):
             oracle = limit_mean_quadrature(0.5, u)
             se = vals[:, k].std() / math.sqrt(vals.shape[0])
@@ -142,18 +157,25 @@ class TestLimitIntegral:
         assert vals[0, 0] > 0
 
     def test_truncation_gate(self, rng):
+        # as alpha u -> 0 the tail bound over the estimate tends to
+        # e^-40 / (alpha u), which is 8.5e-3 at u = 1e-15
         with pytest.raises(ValueError, match="truncation too coarse"):
-            sample_limit_integrals(0.5, [1.0], 50, rng,
-                                   y_horizon=2.0, y_step=2.0 / 256, v_step=2.0 / 256)
+            sample_limit_integrals(0.5, [1e-15], 50, rng)
+
+    def test_fixed_grid_is_the_kernel_grid(self):
+        # the sampler's draws are the kernel's on limit_grid, bit for bit
+        vals, _ = sample_limit_integrals(0.5, [1.0], 500, np.random.default_rng(73))
+        ref = limit_integrals_on_grid(0.5, 1.0, 500, np.random.default_rng(73),
+                                      *limit_grid(0.5, 1.0))
+        assert np.array_equal(vals[:, 0], ref)
 
     def test_grid_refinement_stability(self, rng):
         # halving both grids moves the mean by less than the combined
         # discretization bound plus Monte Carlo noise
-        y_horizon, y_step, v_step = default_limit_grid(0.5, 1.0)
-        a, _ = sample_limit_integrals(0.5, [1.0], 2 * 10 ** 4, rng,
-                                      y_horizon, y_step, v_step)
-        b, _ = sample_limit_integrals(0.5, [1.0], 2 * 10 ** 4, rng,
-                                      y_horizon, y_step / 2, v_step / 2)
+        y_horizon, y_step, v_step = limit_grid(0.5, 1.0)
+        a = limit_integrals_on_grid(0.5, 1.0, 2 * 10 ** 4, rng, y_horizon, y_step, v_step)
+        b = limit_integrals_on_grid(0.5, 1.0, 2 * 10 ** 4, rng,
+                                    y_horizon, y_step / 2, v_step / 2)
         se = math.hypot(a.std() / math.sqrt(a.size), b.std() / math.sqrt(b.size))
         bound = v_step + 0.5 * y_step * 1.0
         assert abs(a.mean() - b.mean()) <= 4 * se + bound

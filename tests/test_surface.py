@@ -1,8 +1,11 @@
 """Every name a sievesim module exports through __all__ must exist on it,
-so deleting a function without dropping its export fails here; importing
-the CLI must not load scipy's integration stack, which only the appendix
-uses."""
+so deleting a function without dropping its export fails here, and must be
+used by the package itself, so an export that only tests call fails too;
+importing the CLI must not load scipy's integration stack, which only the
+appendix uses."""
 
+import ast
+import glob
 import importlib
 import os
 import pkgutil
@@ -16,11 +19,37 @@ import sievesim
 MODULES = [m.name for m in pkgutil.iter_modules(sievesim.__path__, "sievesim.")]
 
 
+def _package_references() -> set:
+    """Every identifier the package's code reads, imports or accesses as an
+    attribute; the names that def/class statements bind and the strings of
+    __all__ are not among them."""
+    refs = set()
+    for path in glob.glob(os.path.join(os.path.dirname(sievesim.__file__), "*.py")):
+        with open(path) as fh:
+            tree = ast.parse(fh.read())
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                refs.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                refs.add(node.attr)
+            elif isinstance(node, ast.alias):
+                refs.add(node.name)
+    return refs
+
+
 @pytest.mark.parametrize("name", MODULES)
 def test_all_names_resolve(name):
     module = importlib.import_module(name)
     missing = [n for n in getattr(module, "__all__", ()) if not hasattr(module, n)]
     assert not missing, f"{name}.__all__ lists undefined names {missing}"
+
+
+def test_all_names_used_by_the_package():
+    refs = _package_references()
+    unused = [f"{name}.{n}" for name in MODULES
+              for n in getattr(importlib.import_module(name), "__all__", ())
+              if n not in refs]
+    assert not unused, f"exported but used by no code in the package: {unused}"
 
 
 def test_modules_found():
