@@ -87,9 +87,8 @@ class DerivedConstants:
 
 @dataclass
 class WPair:
-    """Draws of W with both negative logs, as equal-shape arrays."""
+    """Draws of W as both negative logs, equal-shape arrays."""
 
-    w: np.ndarray
     neglog_w: np.ndarray      # |log W|, strictly positive
     neglog_1mw: np.ndarray    # |log(1-W)|, strictly positive
 
@@ -104,25 +103,22 @@ def sample_positive_stable(alpha: float, time_scale: float, rng: np.random.Gener
     """Draw from the one-sided stable law with log-Laplace transform
     -time_scale * Gamma(1-alpha) * s^alpha.
 
-    Exact Kanter construction from one uniform and one exponential draw;
-    no series truncation.  At alpha = 1/2 it collapses exactly to
-    pi time_scale^2 / (4 E cos^2(pi U / 2)), the Levy law
-    pi time_scale^2 / (2 N^2) with N = sqrt(2E) cos(pi U / 2) built by
-    Box-Muller from the same two draws; that closed form is evaluated
-    there.  size is an int or a shape tuple.
+    Exact, with no series truncation.  At alpha = 1/2 this is the Levy law
+    pi time_scale^2 / (2 N^2), drawn from one standard normal N per value;
+    numpy's normals are generated one value at a time, so a draw split
+    into pieces gets the same values as one call.  N = 0 gives +inf.  Every
+    other alpha uses Kanter's construction from one uniform and one
+    exponential.  size is an int or a shape tuple.
     """
     _validate_alpha(alpha)
     if not time_scale > 0.0:
         raise ValueError(f"time_scale must be positive, got {time_scale}")
     if alpha != 0.5:
         return _kanter(alpha, time_scale, rng, size)
-    out = rng.random(size)
-    e = np.maximum(rng.standard_exponential(size), _TINY)
-    out *= np.pi / 2
-    np.cos(out, out=out)
+    out = rng.standard_normal(size)
     np.square(out, out=out)
-    out *= e
-    np.divide(np.pi / 4 * time_scale ** 2, out, out=out)
+    with np.errstate(divide="ignore"):
+        np.divide(np.pi / 2 * time_scale ** 2, out, out=out)
     return out
 
 
@@ -171,21 +167,22 @@ def sample_xi(params: ModelParams, rng: np.random.Generator, size: int) -> np.nd
 def w_pair_from_xi(xi) -> WPair:
     """Map |log W| draws to a WPair, stable against under/overflow.
 
-    For w so close to 1 that 1-w rounds to 0 the complementary log is taken
-    as -log(xi), and for w underflowing to 0 it is floored at the smallest
-    positive double so it is never exactly 0.
+    For w = e^-xi so close to 1 that 1-w rounds to 0 the complementary log
+    is taken as -log(xi), and for w underflowing to 0 it is floored at the
+    smallest positive double so it is never exactly 0.
     """
     xi_arr = np.asarray(xi, dtype=float)
-    w = np.exp(-xi_arr)
-    eta = np.negative(w)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        np.log1p(eta, out=eta)
+    eta = np.negative(xi_arr)
+    np.exp(eta, out=eta)  # w
     np.negative(eta, out=eta)
-    near_one = w >= 1.0
+    with np.errstate(divide="ignore"):
+        np.log1p(eta, out=eta)
+    near_one = eta == -np.inf  # 1 - w rounded to 0
+    np.negative(eta, out=eta)
     if near_one.any():
         eta[near_one] = -np.log(np.maximum(xi_arr[near_one], _TINY))
     np.maximum(eta, _TINY, out=eta)
-    return WPair(w=w, neglog_w=xi_arr, neglog_1mw=eta)
+    return WPair(neglog_w=xi_arr, neglog_1mw=eta)
 
 
 def sample_w_pair(params: ModelParams, rng: np.random.Generator, size: int) -> WPair:

@@ -24,9 +24,12 @@ __all__ = ["WalkPath", "walk_points", "w_pair_draw", "generate_walk",
 def walk_points(draw, starts: np.ndarray, horizon: float, rng: np.random.Generator):
     """All points at or below the horizon of one walk per start.
 
-    Walk i is shifted by starts[i].  Each wave asks draw(rng, n) -> (eta, xi)
-    for one increment pair per live walk, in walk order, so the random
-    stream depends only on the starts and the horizon.  Returns (owner,
+    Walk i is shifted by starts[i] and keeps one running position
+    starts[i] + S_k.  Each wave asks draw(rng, n) -> (eta, xi) for one
+    increment pair per live walk, in walk order, so the random stream
+    depends only on the starts and the horizon; the wave's points are the
+    positions plus eta, and then the positions move by xi.  eta and xi may
+    be one array, and starts is left unchanged.  Returns (owner,
     points, exit_mass): the walk index and value of each kept point in
     generation order, and the sum of e^-x over the points beyond the horizon
     and the residuals starts[i] + S_k at which walks leave.  For
@@ -36,14 +39,12 @@ def walk_points(draw, starts: np.ndarray, horizon: float, rng: np.random.Generat
     owners: list[np.ndarray] = []
     points: list[np.ndarray] = []
     exit_mass = 0.0
-    # the live walks: index, start, running sum of xi
+    # the live walks: index and running position (a copy, updated in place)
     act = np.arange(starts.size)
-    base = starts
-    stick = np.zeros(act.size)
+    pos = np.array(starts, dtype=float)
     while act.size:
         eta, xi = draw(rng, act.size)
-        born = base + stick
-        born += eta
+        born = pos + eta
         keep = born <= horizon
         kept = np.count_nonzero(keep)
         if kept:
@@ -51,13 +52,12 @@ def walk_points(draw, starts: np.ndarray, horizon: float, rng: np.random.Generat
             points.append(born[keep])
         if kept < keep.size:
             exit_mass += float(np.sum(np.exp(-born[~keep])))
-        stick += xi
-        residual = base + stick
-        done = residual > horizon
+        pos += xi
+        done = pos > horizon
         if done.any():
-            exit_mass += float(np.sum(np.exp(-residual[done])))
-            live = np.flatnonzero(~done)  # one scan serves the three gathers
-            act, base, stick = act[live], base[live], stick[live]
+            exit_mass += float(np.sum(np.exp(-pos[done])))
+            live = np.flatnonzero(~done)  # one scan serves both gathers
+            act, pos = act[live], pos[live]
     if not owners:
         return np.empty(0, dtype=np.int64), np.empty(0), exit_mass
     return np.concatenate(owners), np.concatenate(points), exit_mass

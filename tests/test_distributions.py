@@ -1,10 +1,12 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.integrate import quad
 from scipy.special import erfc, gamma as gamma_fn, gammaln
+from scipy.stats import kstest
 
 from sievesim.distributions import (
     _TINY,
@@ -50,22 +52,41 @@ class TestPositiveStable:
         oracle = math.exp(-gamma_fn(0.5))
         assert abs(vals.mean() - oracle) <= 3 * mc_se(vals)
 
-    def test_closed_form_half(self, rng):
-        # alpha = 1/2 draw has the inverse-square-normal law (pi/2) / N^2
-        z = sample_positive_stable(0.5, 1.0, rng, 10 ** 5)
-        ref = (math.pi / 2) / rng.standard_normal(10 ** 5) ** 2
-        assert ks_two_sample(z, ref) <= 0.01
+    @pytest.mark.parametrize("time_scale", [1.0, 5e-4])
+    def test_half_matches_exact_cdf(self, time_scale):
+        # alpha = 1/2 is the Levy law: P{Z <= x} = erfc(sqrt(pi t^2 / (4 x)))
+        n = 10 ** 5
+        z = sample_positive_stable(0.5, time_scale, substream(46, 0), n)
+        d = kstest(z, lambda x: erfc(np.sqrt(np.pi * time_scale ** 2 / (4 * x)))).statistic
+        assert d <= 1.628 / math.sqrt(n)  # the one-sample 1% critical value
 
     @pytest.mark.parametrize("time_scale", [1.0, 5e-4])
-    def test_half_matches_kanter_on_same_stream(self, time_scale):
-        # the alpha = 1/2 closed form is Kanter's expression simplified: same
-        # draws in the same order, values equal to rounding
-        rng_half, rng_kanter = substream(46, 0), substream(46, 0)
-        half = sample_positive_stable(0.5, time_scale, rng_half, (1000, 100))
-        kanter = _kanter(0.5, time_scale, rng_kanter, (1000, 100))
-        assert half.shape == (1000, 100)
-        np.testing.assert_allclose(half, kanter, rtol=1e-13, atol=0.0)
-        assert rng_half.random() == rng_kanter.random()
+    def test_half_matches_kanter_in_law(self, time_scale):
+        # the Levy draw against Kanter's construction on an independent stream
+        n = 10 ** 5
+        half = sample_positive_stable(0.5, time_scale, substream(46, 1), n)
+        kanter = _kanter(0.5, time_scale, substream(46, 2), n)
+        assert ks_two_sample(half, kanter) <= 1.628 * math.sqrt(2 / n)
+
+    @pytest.mark.parametrize("a,b", [(1, 999), (1000, 2500), (4097, 3)])
+    def test_half_split_invariant(self, a, b):
+        # one normal per value: two calls on one stream give the values of a
+        # single call of the summed size, and leave the stream at the same point
+        rng_split, rng_one = substream(46, 3), substream(46, 3)
+        split = np.concatenate([sample_positive_stable(0.5, 5e-4, rng_split, a),
+                                sample_positive_stable(0.5, 5e-4, rng_split, b)])
+        assert np.array_equal(split, sample_positive_stable(0.5, 5e-4, rng_one, a + b))
+        assert rng_split.random() == rng_one.random()
+
+    def test_half_zero_normal_is_infinite(self):
+        class Zeros:
+            def standard_normal(self, size):
+                return np.array([0.0, 1.0])
+
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            z = sample_positive_stable(0.5, 1.0, Zeros(), 2)
+        assert z[0] == np.inf and z[1] == math.pi / 2
 
     @pytest.mark.parametrize("alpha", [0.1, 0.3, 0.8, 0.95])
     @pytest.mark.parametrize("time_scale", [1e-4, 0.003, 1.0, 7.0])
@@ -174,19 +195,17 @@ class TestSampleXi:
 class TestWPair:
     def test_symmetry_point(self):
         pair = w_pair_from_xi(np.array([math.log(2.0)]))
-        assert pair.w[0] == pytest.approx(0.5, rel=1e-15)
         assert pair.neglog_1mw[0] == pytest.approx(math.log(2.0), rel=1e-14)
 
     def test_identities_12_digits(self):
-        # the stored fields must satisfy w = e^-xi and eta = -log(1-w) to
-        # 12 significant digits; mpmath provides the reference values
+        # the stored eta must satisfy eta = -log(1-w), w = e^-xi, to 12
+        # significant digits; mpmath provides the reference values
         import mpmath
 
         mpmath.mp.dps = 40
         xis = np.logspace(-8, math.log10(50.0), 60)
         pairs = w_pair_from_xi(xis)
-        for xi, w, eta in zip(xis, pairs.w, pairs.neglog_1mw):
-            assert w == pytest.approx(math.exp(-xi), rel=1e-15)
+        for xi, w, eta in zip(xis, np.exp(-xis), pairs.neglog_1mw):
             identity = float(-mpmath.log(1 - mpmath.mpf(float(w))))
             assert eta == pytest.approx(identity, rel=1e-12)
             # accuracy against the exact eta(xi) is limited by the ulp of w
@@ -208,15 +227,16 @@ class TestWPair:
         pair = w_pair_from_xi(xi)
         for k, x in enumerate(xi):
             one = w_pair_from_xi(np.array([x]))
-            assert (pair.w[k], pair.neglog_w[k], pair.neglog_1mw[k]) == (
-                one.w[0], one.neglog_w[0], one.neglog_1mw[0]), f"xi={x}"
-        assert pair.w[2] == 1.0
+            assert (pair.neglog_w[k], pair.neglog_1mw[k]) == (
+                one.neglog_w[0], one.neglog_1mw[0]), f"xi={x}"
+        assert np.exp(-xi[2]) == 1.0
         assert pair.neglog_1mw[2] == -math.log(1e-17)
         assert pair.neglog_1mw[4] == 5e-324
 
     def test_extreme_underflow(self):
-        pair = w_pair_from_xi(np.array([800.0]))
-        assert pair.w[0] == 0.0
+        xi = np.array([800.0])
+        pair = w_pair_from_xi(xi)
+        assert np.exp(-xi)[0] == 0.0
         assert pair.neglog_1mw[0] > 0
 
     def test_case_b_eta_tail(self, rng):

@@ -22,23 +22,23 @@ from sievesim import cli, harness
 GOLDEN = {
     "2.4.6": {
         "limit-sample":
-            "79223eeed74b47250e7f69769f5e45ffee13a128533873af1e53c761fed8624e",
+            "2d131f6c611799e1a3d199e9a1b9e60ff287f3f1013e783206f911a35d87365f",
         "occupancy":
-            "80fba35e2a540758e03c349f440f1cf1aabd7b7eb762f73c977f887ac8cafbba",
+            "50a9cfb8e81afc39a9bb3153b7f98e4f53b93de4596ab8c4954777510a1aa62b",
         "renewal":
-            "3faaa22b59d72cf775dcda27265d39c1c01f393e2f7786f82134ca6b8c381ea4",
+            "f19197f33820b597a9046e4d1c274eb99fa11d6697c2155765507f47b160e49a",
         "verify-bounds":
-            "ed753574b5085d02d0f357c27d7733548ac2b3ea29252a79af9e92e5226167bf",
+            "13b98e5e6de2fd907dba26f9104693e9ef64bf0bff92d358fee074098be14874",
         "theorem-main":
-            "59a54d1744fe4632ab002ac339b1fec5b79b64a99f259febc1d50b1340171357",
+            "fda842f872371f04bd13b7f508347b68c08e08cf047513614777cf9b34af1bd4",
         "theorem-2":
-            "d3280d20fc19414a73591decb60eec48de4ad61996d5b82579850798c903ccba",
+            "ac13e03b77ba34ff7b63c42960d22d08a8b6533331b42f087aafb017e03278c6",
         "theorem-3":
-            "9fdfc985ddfae9a0756d357890f6ea64f20ffcf7584e242363045f7cb782d82d",
+            "6fd060f854dd1475766509f386a5d037c509179586b9a601dd0cbcc8190d2b6e",
         "fixed-level":
-            "fb342546f5ca2066a516e154cc842957319dd8a2ed1b0fc21330511fa9e077d7",
+            "c40b9e9196159a94e731748e61abc6cc7ba7dfb24502a49f7e0de8ff346928e5",
         "appendix":
-            "ca23625639cfebba5f9a3a1667219f4ab1ade7cefc2bf816ec78f039245c5d39",
+            "4fbe57dd25e1031c837d6ad94515a4253435d62ab231e94fdef0823aff4bcadb",
     },
 }
 

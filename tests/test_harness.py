@@ -256,7 +256,7 @@ class TestRunners:
                                             threshold_rule="offset:-2"))
         check = next(c for c in rep.checks if c["name"] == "bias_fraction<=0.01")
         assert not check["passed"]
-        assert check["value"] == pytest.approx(1.81, abs=0.01)
+        assert check["value"] == pytest.approx(2.56, abs=0.01)
 
     def test_theorem_main_rejects_pareto(self):
         cfg = small_config(params=ModelParams(law=WLaw.PARETO))

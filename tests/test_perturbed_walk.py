@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from sievesim.distributions import sample_w_pair
+from sievesim.distributions import sample_w_pair, sample_xi
 from sievesim.perturbed_walk import (
     WalkPath,
     generate_walk,
@@ -86,6 +86,30 @@ class TestAssembly:
             kept = float(np.sum(np.exp(-points)))
             assert kept + exit_mass == pytest.approx(total, rel=1e-12)
             assert 0.0 < exit_mass < total
+
+    def test_starts_unchanged(self, case_a):
+        starts = substream(31, 0).uniform(0.0, 8.0, 300)
+        before = starts.copy()
+        walk_points(w_pair_draw(sample_w_pair, case_a), starts, 12.0, substream(31, 1))
+        assert np.array_equal(starts, before)
+
+    def test_shared_eta_xi_array(self, case_a):
+        # a draw may hand back one array as both eta and xi (the U grid does):
+        # the walk must give what it gives for two separate copies
+        def shared(rng, n):
+            xi = sample_xi(case_a, rng, n)
+            return xi, xi
+
+        def copies(rng, n):
+            xi = sample_xi(case_a, rng, n)
+            return xi.copy(), xi.copy()
+
+        starts = substream(32, 0).uniform(0.0, 8.0, 300)
+        got = walk_points(shared, starts, 40.0, substream(32, 1))
+        ref = walk_points(copies, starts, 40.0, substream(32, 1))
+        assert got[1].size > starts.size
+        assert np.array_equal(got[0], ref[0]) and np.array_equal(got[1], ref[1])
+        assert got[2] == ref[2]
 
 
 class TestGenerateWalk:
