@@ -26,8 +26,7 @@ _RUNNERS = {
 }
 
 # flag and config-file keys that differ from the ExperimentConfig field they set
-_RENAMED = {"log_n": "log_n_list", "j": "j_list", "u": "u_list",
-            "step": "grid_step_frac", "format": "fmt"}
+_RENAMED = {"log_n": "log_n_list", "j": "j_list", "u": "u_list", "format": "fmt"}
 
 
 def _read_config_file(path: str) -> dict:
@@ -44,7 +43,7 @@ def _read_config_file(path: str) -> dict:
     return out
 
 
-def _parse_args(argv):
+def _parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="sievesim",
         description="simulate and verify nested occupancy schemes with "
@@ -64,13 +63,10 @@ def _parse_args(argv):
         p.add_argument("--u", type=float, action="append")
         p.add_argument("--replicas", type=int)
         p.add_argument("--seed", type=int)
-        p.add_argument("--threshold-rule")
-        p.add_argument("--step", type=float,
-                       help="grid step as a fraction of the horizon")
         p.add_argument("--workers", type=int)
         p.add_argument("--out", default=".")
         p.add_argument("--format", choices=["csv", "json", "both"])
-    return parser.parse_args(argv)
+    return parser
 
 
 def _merged_settings(args) -> dict:
@@ -117,7 +113,7 @@ def _build_config(settings: dict) -> harness.ExperimentConfig:
 
 
 def main(argv=None) -> int:
-    args = _parse_args(sys.argv[1:] if argv is None else argv)
+    args = _parser().parse_args(sys.argv[1:] if argv is None else argv)
     settings = _merged_settings(args)
     if args.command == "appendix":
         for key in settings:

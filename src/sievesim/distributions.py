@@ -23,7 +23,6 @@ __all__ = [
     "WLaw",
     "ModelParams",
     "DerivedConstants",
-    "WPair",
     "sample_positive_stable",
     "sample_xi",
     "sample_w_pair",
@@ -85,19 +84,6 @@ class DerivedConstants:
     log_power_coefs: np.ndarray
 
 
-@dataclass
-class WPair:
-    """Draws of W as both negative logs, equal-shape arrays."""
-
-    neglog_w: np.ndarray      # |log W|, strictly positive
-    neglog_1mw: np.ndarray    # |log(1-W)|, strictly positive
-
-
-def _validate_alpha(alpha: float) -> None:
-    if not 0.0 < alpha < 1.0:
-        raise ValueError(f"alpha must be in (0,1), got {alpha}")
-
-
 def sample_positive_stable(alpha: float, time_scale: float, rng: np.random.Generator,
                            size) -> np.ndarray:
     """Draw from the one-sided stable law with log-Laplace transform
@@ -110,7 +96,8 @@ def sample_positive_stable(alpha: float, time_scale: float, rng: np.random.Gener
     other alpha uses Kanter's construction from one uniform and one
     exponential.  size is an int or a shape tuple.
     """
-    _validate_alpha(alpha)
+    if not 0.0 < alpha < 1.0:
+        raise ValueError(f"alpha must be in (0,1), got {alpha}")
     if not time_scale > 0.0:
         raise ValueError(f"time_scale must be positive, got {time_scale}")
     if alpha != 0.5:
@@ -164,8 +151,9 @@ def sample_xi(params: ModelParams, rng: np.random.Generator, size: int) -> np.nd
     return (params.c / u) ** (1.0 / params.alpha)
 
 
-def w_pair_from_xi(xi) -> WPair:
-    """Map |log W| draws to a WPair, stable against under/overflow.
+def w_pair_from_xi(xi) -> tuple[np.ndarray, np.ndarray]:
+    """Map |log W| draws xi to the walk_points increment pair (eta, xi),
+    with eta = |log(1-W)| strictly positive and stable against under/overflow.
 
     For w = e^-xi so close to 1 that 1-w rounds to 0 the complementary log
     is taken as -log(xi), and for w underflowing to 0 it is floored at the
@@ -182,11 +170,12 @@ def w_pair_from_xi(xi) -> WPair:
     if near_one.any():
         eta[near_one] = -np.log(np.maximum(xi_arr[near_one], _TINY))
     np.maximum(eta, _TINY, out=eta)
-    return WPair(neglog_w=xi_arr, neglog_1mw=eta)
+    return eta, xi_arr
 
 
-def sample_w_pair(params: ModelParams, rng: np.random.Generator, size: int) -> WPair:
-    """Draw W together with both negative logs."""
+def sample_w_pair(params: ModelParams, rng: np.random.Generator,
+                  size: int) -> tuple[np.ndarray, np.ndarray]:
+    """Draw W as the pair (eta, xi) = (|log(1-W)|, |log W|); see w_pair_from_xi."""
     return w_pair_from_xi(sample_xi(params, rng, size))
 
 

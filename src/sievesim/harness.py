@@ -79,10 +79,8 @@ class ExperimentConfig:
     u_list: tuple = (0.6, 1.0)
     replicas: int = 2000
     seed: int = DEFAULT_SEED
-    threshold_rule: str = "nlog2n"
     limit_draws: int = 10000
     grid_replicas: int = 100000
-    grid_step_frac: float = 2.0 ** -12
     fixed_level_js: tuple = (4, 16, 64)
     workers: int = 1
     fmt: str = "both"
@@ -94,6 +92,10 @@ class ExperimentConfig:
             setattr(self, name, operator.index(getattr(self, name)))
         self.log_n_list = tuple(float(x) for x in self.log_n_list)
         self.u_list = tuple(float(u) for u in self.u_list)
+        if not self.log_n_list:
+            raise ValueError("log_n_list must not be empty")
+        if not self.u_list:
+            raise ValueError("u_list must not be empty")
         # the default rule is the paper's own choice; warn near the cap only
         # for depths the caller chose
         chosen = self.j_list is not None
@@ -105,6 +107,12 @@ class ExperimentConfig:
             raise ValueError("j_list must have one entry per log_n")
         if self.replicas < 100:
             raise ValueError("replicas must be at least 100")
+        if self.grid_replicas < 100:
+            raise ValueError("grid_replicas must be at least 100")
+        if self.limit_draws < 1:
+            raise ValueError("limit_draws must be at least 1")
+        if self.workers < 1:
+            raise ValueError("workers must be at least 1")
         js = self.fixed_level_js
         if (not isinstance(js, tuple) or not js
                 or any(type(j) is not int or j < 1 for j in js)
@@ -132,13 +140,8 @@ class ExperimentConfig:
                     raise ValueError(f"floor(j*u) < 1 for j={j}, u={u}")
 
     def neglog_threshold(self, log_n: float) -> float:
-        rule = self.threshold_rule
-        if rule == "nlog2n":
-            # threshold 1 / (n (log n)^2)
-            return log_n + 2.0 * math.log(log_n)
-        if rule.startswith("offset:"):
-            return log_n + float(rule.split(":", 1)[1])
-        raise ValueError(f"unknown threshold rule {rule!r}")
+        """-log of the pruning threshold 1 / (n (log n)^2), n = e^log_n."""
+        return log_n + 2.0 * math.log(log_n)
 
     def config_hash(self) -> str:
         payload = asdict(self)
@@ -256,9 +259,9 @@ def _replicate(kernel, static, config: ExperimentConfig, tag: int, sub: int) -> 
 
 def _grid(config: ExperimentConfig, estimate, sub: int) -> GridFunction:
     """estimate (estimate_U or estimate_V) on the grid [0, max log_n] of step
-    grid_step_frac * max log_n, from substream (seed, _TAG_GRID, sub)."""
+    max log_n / 4096, from substream (seed, _TAG_GRID, sub)."""
     horizon = max(config.log_n_list)
-    return estimate(config.params, horizon, horizon * config.grid_step_frac,
+    return estimate(config.params, horizon, horizon * 2.0 ** -12,
                     config.grid_replicas, substream(config.seed, _TAG_GRID, sub))
 
 
@@ -314,9 +317,7 @@ def _occupancy_chunk(static, rng, size):
     bias = np.empty((size, max_level))
     for r in range(size):
         tree = occupancy.expand_tree(params, max_level, neglog_threshold=neglog_t, rng=rng)
-        res = occupancy.occupancy_poissonized(tree, log_n, rng)
-        counts[r] = res.counts
-        bias[r] = res.pruned_bias_bound
+        counts[r], bias[r] = occupancy.occupancy_poissonized(tree, log_n, rng)
     return counts, bias
 
 
@@ -505,11 +506,11 @@ def run_renewal(config: ExperimentConfig) -> Report:
     report = Report("renewal", config.config_hash(), config.seed)
     grid_u = _grid(config, renewal_numerics.estimate_U, 2)
     grid_v = _grid(config, renewal_numerics.estimate_V, 3)
-    pair = sample_w_pair(config.params, substream(config.seed, _TAG_GRID, 4), 10 ** 6)
+    eta, _ = sample_w_pair(config.params, substream(config.seed, _TAG_GRID, 4), 10 ** 6)
     for s in (0.5, 1.0, 2.0):
         phi = float(laplace_xi(config.params, s))
         target_u = 1.0 / (1.0 - phi)
-        target_v = float(np.mean(np.exp(-s * pair.neglog_1mw))) / (1.0 - phi)
+        target_v = float(np.mean(np.exp(-s * eta))) / (1.0 - phi)
         got_u = grid_u.laplace_stieltjes(s)
         got_v = grid_v.laplace_stieltjes(s)
         report.summary[f"transform_u(s={s:g})"] = got_u

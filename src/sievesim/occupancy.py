@@ -10,17 +10,17 @@ deepest retained level and propagated through prefixes.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .distributions import ModelParams, sample_w_pair
-from .perturbed_walk import w_pair_draw, walk_points
+from .perturbed_walk import walk_points
 
 __all__ = [
     "OccupancyTree",
-    "OccupancyResult",
     "expand_tree",
     "occupancy_poissonized",
 ]
@@ -52,18 +52,6 @@ class OccupancyTree:
         return float(np.sum(self.pruned_at[:j]))
 
 
-@dataclass
-class OccupancyResult:
-    """Occupied-box counts per level with the pruning bias alongside.
-
-    counts[j-1] is the retained-only lower count at level j;
-    pruned_bias_bound[j-1] bounds the boxes possibly missed through pruning.
-    """
-
-    counts: np.ndarray
-    pruned_bias_bound: np.ndarray
-
-
 def expand_tree(params: ModelParams, max_level: int, rng: np.random.Generator, *,
                 neglog_threshold: float) -> OccupancyTree:
     """Breadth-first expansion retaining boxes of mass >= e^-neglog_threshold.
@@ -81,7 +69,7 @@ def expand_tree(params: ModelParams, max_level: int, rng: np.random.Generator, *
         raise ValueError("max_level must be at least 1")
 
     t_star = float(neglog_threshold)
-    draw = w_pair_draw(sample_w_pair, params)
+    draw = functools.partial(sample_w_pair, params)
     parents: list[np.ndarray] = []
     neglogs: list[np.ndarray] = []
     pruned_at = np.zeros(max_level)
@@ -115,13 +103,15 @@ def _propagate_counts(tree: OccupancyTree, leaf_occupied: np.ndarray) -> np.ndar
 
 
 def occupancy_poissonized(tree: OccupancyTree, log_n: float,
-                          rng: np.random.Generator) -> OccupancyResult:
-    """Poissonized occupancy for n = e^log_n balls.
+                          rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
+    """Poissonized occupancy for n = e^log_n balls: (counts, bias_bound).
 
     With a Poisson(n) ball count the retained deepest-level boxes are
     occupied independently with probability 1 - exp(-n * mass); occupancy
     is sampled there and propagated to prefixes, preserving the nesting.
-    The per-level bias bound is n times the pruned mass reachable there.
+    counts[j-1] is the retained-only lower count at level j, and
+    bias_bound[j-1], n times the pruned mass reachable there, bounds the
+    boxes it may miss through pruning.
     """
     if not log_n > 0.0:
         raise ValueError("log_n must be positive")
@@ -139,4 +129,4 @@ def occupancy_poissonized(tree: OccupancyTree, log_n: float,
     for j in range(1, tree.max_level + 1):
         mass = tree.pruned_mass(j)
         bias[j - 1] = math.exp(log_n + math.log(mass)) if mass > 0.0 else 0.0
-    return OccupancyResult(counts=level_counts, pruned_bias_bound=bias)
+    return level_counts, bias

@@ -11,14 +11,14 @@ exact.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
 
 from .distributions import ModelParams, sample_w_pair
 
-__all__ = ["WalkPath", "walk_points", "w_pair_draw", "generate_walk",
-           "weighted_sum_statistic"]
+__all__ = ["WalkPath", "walk_points", "generate_walk", "weighted_sum_statistic"]
 
 
 def walk_points(draw, starts: np.ndarray, horizon: float, rng: np.random.Generator):
@@ -63,15 +63,6 @@ def walk_points(draw, starts: np.ndarray, horizon: float, rng: np.random.Generat
     return np.concatenate(owners), np.concatenate(points), exit_mass
 
 
-def w_pair_draw(sampler, params: ModelParams):
-    """The walk_points draw for stick-breaking pairs from sampler(params,
-    rng, n), a WPair sampler such as sample_w_pair."""
-    def draw(rng, n):
-        pair = sampler(params, rng, n)
-        return pair.neglog_1mw, pair.neglog_w
-    return draw
-
-
 @dataclass
 class WalkPath:
     """A batch of independent walks truncated at a horizon.
@@ -91,7 +82,7 @@ def generate_walk(params: ModelParams, horizon: float, rng: np.random.Generator,
     """Generate all points up to the horizon of n_walks independent walks."""
     if not horizon > 0.0:
         raise ValueError("horizon must be positive")
-    owner, points, _ = walk_points(w_pair_draw(sample_w_pair, params),
+    owner, points, _ = walk_points(functools.partial(sample_w_pair, params),
                                    np.zeros(n_walks), horizon, rng)
     return WalkPath(horizon=horizon, n_walks=n_walks, owner=owner, t_values=points)
 

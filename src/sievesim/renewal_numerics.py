@@ -11,6 +11,7 @@ bound checks allow an explicit noise-plus-discretization slack.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -18,7 +19,7 @@ import numpy as np
 from scipy.special import gammaln
 
 from .distributions import DerivedConstants, ModelParams, sample_w_pair, sample_xi
-from .perturbed_walk import w_pair_draw, walk_points
+from .perturbed_walk import walk_points
 
 __all__ = [
     "GridFunction",
@@ -114,7 +115,7 @@ def estimate_V(params: ModelParams, horizon: float, step: float, n_replicas: int
     construction since every replica count is monotone."""
     if n_replicas < 100:
         raise ValueError("n_replicas must be at least 100")
-    mean, se = _count_grid_mc(w_pair_draw(sample_w_pair, params), horizon, step,
+    mean, se = _count_grid_mc(functools.partial(sample_w_pair, params), horizon, step,
                               n_replicas, rng, origin_mass=False)
     return GridFunction(step=step, values=mean, se=se)
 
@@ -176,15 +177,6 @@ class BoundReport:
     violations: list = field(default_factory=list)
     uniform_sups: dict = field(default_factory=dict)
 
-    @property
-    def passed(self) -> bool:
-        return not self.violations
-
-
-def _log_t(t: np.ndarray) -> np.ndarray:
-    with np.errstate(divide="ignore"):
-        return np.log(t)
-
 
 def _power_term(consts: DerivedConstants, j: int, t: np.ndarray) -> np.ndarray:
     """rho_j * t^(alpha j), evaluated in log space."""
@@ -201,12 +193,13 @@ def check_vj_bound_chain(v_list: list[GridFunction], consts: DerivedConstants,
 
     With the two-term bound |V(t) - C t^alpha| <= D, D = residual_coef
     (measured by fit_two_term), for every power
-    j <= len(v_list) and grid point t the binomial-sum deviation envelope
+    j <= len(v_list) and grid point t > 0 the binomial-sum deviation envelope
     sum_(i<j) binom(j,i) (C Gamma(alpha+1))^i D^(j-i) t^(alpha i) / Gamma(alpha i+1)
     is asserted; where the smallness condition
     2 D j (alpha(j-1)+1)^alpha <= C Gamma(alpha+1) t^alpha
     holds, the simplified 2.1-factor bound and the 3.31 growth envelope are
-    asserted as well.  Violations beyond the slack
+    asserted as well.  t = 0, where every V_j vanishes, is not checked.
+    Violations beyond the slack
     eps = (hi - lo)/2 + 3 h Lipschitz (hi/lo: convolution chains of the
     estimate +/- 3 SE) are reported, not raised.  For j <= 4 the sup of
     |V_j / (rho_j t^(alpha j)) - 1| over t >= horizon / 8 goes to
@@ -217,8 +210,8 @@ def check_vj_bound_chain(v_list: list[GridFunction], consts: DerivedConstants,
     alpha = consts.alpha
     coef, dd = consts.renewal_coef, residual_coef
     h = v.step
-    t = v.grid()
-    log_t = _log_t(t)
+    t = v.grid()[1:]
+    log_t = np.log(t)
 
     se = v.se if v.se is not None else np.zeros_like(v.values)
     hi = GridFunction(step=h, values=np.maximum.accumulate(v.values + 3.0 * se))
@@ -234,40 +227,30 @@ def check_vj_bound_chain(v_list: list[GridFunction], consts: DerivedConstants,
     log_d = math.log(dd) if dd > 0.0 else -math.inf
 
     for j in range(1, j_max + 1):
-        vj = v_list[j - 1].values
-        n = vj.size
-        slope = np.zeros(n)
-        slope[1:] = np.diff(vj) / h
-        eps = 0.5 * (hi_pow[j - 1].values[:n] - lo_pow[j - 1].values[:n]) \
-            + 3.0 * h * slope + 1e-9
-        target = _power_term(consts, j, t[:n])
+        values = v_list[j - 1].values
+        vj = values[1:]
+        eps = 0.5 * (hi_pow[j - 1].values[1:] - lo_pow[j - 1].values[1:]) \
+            + 3.0 * h * (np.diff(values) / h) + 1e-9
+        target = _power_term(consts, j, t)
         lhs = np.abs(vj - target)
 
         # binomial deviation envelope, each term in log space
-        pos = t[:n] > 0.0
-        rhs = np.zeros(n)
+        rhs = np.zeros(t.size)
         for i in range(j):
             const = (gammaln(j + 1) - gammaln(i + 1) - gammaln(j - i + 1)
                      + i * log_ga1 - gammaln(alpha * i + 1.0)
                      + i * log_c + (j - i) * log_d)
-            term = np.zeros(n)
-            term[pos] = np.exp(const + alpha * i * log_t[:n][pos])
-            if i == 0:
-                term[~pos] = math.exp(const)
-            rhs += term
+            rhs += np.exp(const + alpha * i * log_t)
 
         # smallness condition for the simplified bounds
         cond_lhs = 2.0 * dd * j * (alpha * (j - 1) + 1.0) ** alpha
-        cond = np.zeros(n, dtype=bool)
-        cond[pos] = cond_lhs <= coef * math.exp(log_ga1) * t[:n][pos] ** alpha
+        cond = cond_lhs <= coef * math.exp(log_ga1) * t ** alpha
         const21 = (math.log(2.1) + log_d + (j - 1) * log_c + math.log(j)
                    + (j - 1) * log_ga1 - gammaln(alpha * (j - 1) + 1.0))
-        rhs21 = np.zeros(n)
-        rhs21[pos] = np.exp(const21 + alpha * (j - 1) * log_t[:n][pos])
+        rhs21 = np.exp(const21 + alpha * (j - 1) * log_t)
 
-        # the envelope skips t = 0, where both of its sides vanish
         for bound, applies, lhs_b, rhs_b in (
-                ("deviation-envelope", pos, lhs, rhs),
+                ("deviation-envelope", True, lhs, rhs),
                 ("simplified-2.1", cond, lhs, rhs21),
                 ("growth-envelope", cond, vj, 3.31 * target)):
             for m in np.nonzero(applies & (lhs_b > rhs_b + eps))[0]:
@@ -275,7 +258,7 @@ def check_vj_bound_chain(v_list: list[GridFunction], consts: DerivedConstants,
                     "bound": bound, "j": j, "t": float(t[m]), "lhs": float(lhs_b[m]),
                     "rhs": float(rhs_b[m]), "eps": float(eps[m]),
                 })
-        report.n_checked += n - 1 + 2 * int(cond.sum())
+        report.n_checked += t.size + 2 * int(cond.sum())
 
         if j <= 4:
             y_min = v_list[j - 1].horizon / 8

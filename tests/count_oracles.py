@@ -11,15 +11,16 @@ from dataclasses import dataclass
 import numpy as np
 
 from sievesim.distributions import ModelParams, WLaw, sample_positive_stable
-from sievesim.occupancy import OccupancyResult, OccupancyTree, _propagate_counts
+from sievesim.occupancy import OccupancyTree, _propagate_counts
 from sievesim.renewal_numerics import GridFunction, _count_grid_mc, estimate_U
 
 _EXACT_MODE_MAX_BALLS = 10 ** 7
 
 
-def throw_balls_exact(tree: OccupancyTree, n: int, rng: np.random.Generator) -> OccupancyResult:
+def throw_balls_exact(tree: OccupancyTree, n: int, rng: np.random.Generator):
     """Throw exactly n balls: one multinomial over the retained deepest-level
-    boxes plus one pruned bucket per level.
+    boxes plus one pruned bucket per level.  Returns (counts, bias_bound)
+    like occupancy_poissonized.
 
     Bucket balls are real but land in unstored boxes, so they feed the bias
     bound instead of the counts; a bucket at level l hides occupancy at all
@@ -38,7 +39,7 @@ def throw_balls_exact(tree: OccupancyTree, n: int, rng: np.random.Generator) -> 
     bucket_balls = counts[nj:]
     level_counts = _propagate_counts(tree, leaf_occupied)
     bias = np.cumsum(bucket_balls).astype(float)
-    return OccupancyResult(counts=level_counts, pruned_bias_bound=bias)
+    return level_counts, bias
 
 
 @dataclass

@@ -22,21 +22,21 @@ from sievesim import cli, harness
 GOLDEN = {
     "2.4.6": {
         "limit-sample":
-            "2d131f6c611799e1a3d199e9a1b9e60ff287f3f1013e783206f911a35d87365f",
+            "35b8565822abebef88d1c0a4bd0aac078b61e3216cb27566b137ffd009732a98",
         "occupancy":
-            "50a9cfb8e81afc39a9bb3153b7f98e4f53b93de4596ab8c4954777510a1aa62b",
+            "f563380fbf16a904cf3ba9b811c3286db86796764c0fc382deb0280a71e745fa",
         "renewal":
-            "f19197f33820b597a9046e4d1c274eb99fa11d6697c2155765507f47b160e49a",
+            "cd8608d6ffab0e8729641122fbcb5477a678c114f4b2a4396838915068fccc1d",
         "verify-bounds":
-            "13b98e5e6de2fd907dba26f9104693e9ef64bf0bff92d358fee074098be14874",
+            "112c51abb35744425b84da784d86c93f9649f995ae8daf405caf201c5ce095c3",
         "theorem-main":
-            "fda842f872371f04bd13b7f508347b68c08e08cf047513614777cf9b34af1bd4",
+            "9cea3b05a15af74115cf0d2fc667542f8f0c2cdf5f5d71656eeab0a43cd1917a",
         "theorem-2":
-            "ac13e03b77ba34ff7b63c42960d22d08a8b6533331b42f087aafb017e03278c6",
+            "04e11ceec96ab7052a3e2c18a1f841a9b4dc6cc2618215942b36618e0974bdf4",
         "theorem-3":
-            "6fd060f854dd1475766509f386a5d037c509179586b9a601dd0cbcc8190d2b6e",
+            "f2e6d0fd239019f8b2b846ee6addbb33ee2d016ae953856a2d90feb717ee8000",
         "fixed-level":
-            "c40b9e9196159a94e731748e61abc6cc7ba7dfb24502a49f7e0de8ff346928e5",
+            "d0152867dc897b1ff8eda93e0ea79be2217a1bac741ba48ddae89810d0d02344",
         "appendix":
             "4fbe57dd25e1031c837d6ad94515a4253435d62ab231e94fdef0823aff4bcadb",
     },

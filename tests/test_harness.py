@@ -128,10 +128,13 @@ class TestConfigValidation:
         cfg = small_config()
         assert cfg.neglog_threshold(100.0) == pytest.approx(
             100.0 + 2 * np.log(100.0))
-        cfg2 = small_config(threshold_rule="offset:7.5")
-        assert cfg2.neglog_threshold(100.0) == pytest.approx(107.5)
-        with pytest.raises(ValueError):
-            small_config(threshold_rule="bogus").neglog_threshold(100.0)
+
+    @pytest.mark.parametrize("field, value", [
+        ("workers", 0), ("workers", -3), ("log_n_list", ()), ("u_list", ()),
+        ("limit_draws", 0), ("grid_replicas", 99)])
+    def test_bad_setting_names_its_field(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            small_config(**{field: value})
 
     def test_hash_stable_and_sensitive(self):
         a, b = small_config(), small_config()
@@ -219,7 +222,7 @@ class TestNormalizer:
     @pytest.fixture
     def counts(self, case_a):
         tree = expand_tree(case_a, 3, neglog_threshold=20.0, rng=substream(20, 0))
-        return lambda idx: occupancy_poissonized(tree, 15.0, substream(30, idx)).counts
+        return lambda idx: occupancy_poissonized(tree, 15.0, substream(30, idx))[0]
 
     def test_formula_depth_one(self, counts, case_a, consts_a):
         count = counts(0)[0]
@@ -249,11 +252,12 @@ class TestRunners:
         assert len([r for r in rep.rows
                     if r.experiment == "theorem-main/count"]) == 2 * 150
 
-    def test_theorem_main_reports_bias_through_its_check(self):
+    def test_theorem_main_reports_bias_through_its_check(self, monkeypatch):
         # pruning at 1/(e^2 n) leaves a bias bound far above 1% of the count;
         # the run must finish and fail its check, not abort
-        rep = run_theorem_main(small_config(log_n_list=(25.0,), j_list=(2,),
-                                            threshold_rule="offset:-2"))
+        monkeypatch.setattr(ExperimentConfig, "neglog_threshold",
+                            lambda self, log_n: log_n - 2.0)
+        rep = run_theorem_main(small_config(log_n_list=(25.0,), j_list=(2,)))
         check = next(c for c in rep.checks if c["name"] == "bias_fraction<=0.01")
         assert not check["passed"]
         assert check["value"] == pytest.approx(2.56, abs=0.01)
@@ -339,8 +343,8 @@ class TestCli:
         cfg_file.write_text("alpha=0.5\nreplicas=120\nseed=9\nu=1.0\n"
                             "log_n=25,50\nj=2\n")
         settings_ = cli._merged_settings(
-            cli._parse_args(["occupancy", "--config", str(cfg_file),
-                             "--replicas", "150"]))
+            cli._parser().parse_args(["occupancy", "--config", str(cfg_file),
+                                      "--replicas", "150"]))
         cfg = cli._build_config(settings_)
         assert cfg.replicas == 150  # flag wins
         assert cfg.seed == 9
@@ -350,25 +354,24 @@ class TestCli:
     def test_config_file_sets_every_field(self, tmp_path):
         cfg_file = tmp_path / "run.cfg"
         cfg_file.write_text("case=b\nkappa=2\nlimit_draws=300\ngrid_replicas=500\n"
-                            "fixed_level_js=4,16\nthreshold_rule=offset:3\n"
-                            "step=0.001\nworkers=2\nformat=json\nlog_n_list=25,50\n"
-                            "j_list=2\n")
+                            "fixed_level_js=4,16\nworkers=2\nformat=json\n"
+                            "log_n_list=25,50\nj_list=2\n")
         cfg = cli._build_config(cli._merged_settings(
-            cli._parse_args(["occupancy", "--config", str(cfg_file)])))
+            cli._parser().parse_args(["occupancy", "--config", str(cfg_file)])))
         assert cfg.params == ModelParams(law=WLaw.GAMMA_MIXTURE, kappa=2.0)
         assert (cfg.limit_draws, cfg.grid_replicas) == (300, 500)
         assert cfg.fixed_level_js == (4, 16)
         assert all(type(j) is int for j in cfg.fixed_level_js)
-        assert cfg.threshold_rule == "offset:3" and cfg.grid_step_frac == 0.001
         assert (cfg.workers, cfg.fmt) == (2, "json")
         assert cfg.log_n_list == (25.0, 50.0) and cfg.j_list == (2, 2)
 
     def test_unknown_config_key_rejected(self, tmp_path):
-        for line in ("repicas=9999", "horizon=300", "params=x", "out_dir=x"):
+        for line in ("repicas=9999", "horizon=300", "params=x", "out_dir=x",
+                     "threshold_rule=offset:3", "step=0.001"):
             cfg_file = tmp_path / "run.cfg"
             cfg_file.write_text(f"replicas=150\n{line}\n")
             settings_ = cli._merged_settings(
-                cli._parse_args(["occupancy", "--config", str(cfg_file)]))
+                cli._parser().parse_args(["occupancy", "--config", str(cfg_file)]))
             with pytest.raises(ValueError, match=line.split("=")[0]):
                 cli._build_config(settings_)
 

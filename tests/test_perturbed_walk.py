@@ -1,3 +1,4 @@
+import functools
 import math
 
 import numpy as np
@@ -7,7 +8,6 @@ from sievesim.distributions import sample_w_pair, sample_xi
 from sievesim.perturbed_walk import (
     WalkPath,
     generate_walk,
-    w_pair_draw,
     walk_points,
     weighted_sum_statistic,
 )
@@ -80,7 +80,7 @@ class TestAssembly:
         for i, params in enumerate([case_a, case_b2]):
             rng = substream(30, i)
             starts = rng.uniform(0.0, 8.0, 500)
-            _, points, exit_mass = walk_points(w_pair_draw(sample_w_pair, params),
+            _, points, exit_mass = walk_points(functools.partial(sample_w_pair, params),
                                                starts, 12.0, rng)
             total = float(np.sum(np.exp(-starts)))
             kept = float(np.sum(np.exp(-points)))
@@ -90,7 +90,8 @@ class TestAssembly:
     def test_starts_unchanged(self, case_a):
         starts = substream(31, 0).uniform(0.0, 8.0, 300)
         before = starts.copy()
-        walk_points(w_pair_draw(sample_w_pair, case_a), starts, 12.0, substream(31, 1))
+        walk_points(functools.partial(sample_w_pair, case_a), starts, 12.0,
+                    substream(31, 1))
         assert np.array_equal(starts, before)
 
     def test_shared_eta_xi_array(self, case_a):

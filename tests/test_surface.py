@@ -1,10 +1,14 @@
 """Every name a sievesim module exports through __all__ must exist on it,
 so deleting a function without dropping its export fails here, and must be
 used by the package itself, so an export that only tests call fails too;
-importing the CLI must not load scipy's integration stack, which only the
-appendix uses."""
+the settable surface (ExperimentConfig fields and CLI options) is pinned,
+so a new setting fails here until it is added on purpose; importing the
+CLI must not load scipy's integration stack, which only the appendix
+uses."""
 
+import argparse
 import ast
+import dataclasses
 import glob
 import importlib
 import os
@@ -15,6 +19,7 @@ import sys
 import pytest
 
 import sievesim
+from sievesim import cli, harness
 
 MODULES = [m.name for m in pkgutil.iter_modules(sievesim.__path__, "sievesim.")]
 
@@ -54,6 +59,29 @@ def test_all_names_used_by_the_package():
 
 def test_modules_found():
     assert "sievesim.distributions" in MODULES
+
+
+CONFIG_FIELDS = {"params", "log_n_list", "j_list", "u_list", "replicas", "seed",
+                 "limit_draws", "grid_replicas", "fixed_level_js", "workers", "fmt"}
+
+CLI_OPTIONS = {"-h", "--help", "--config", "--alpha", "--c", "--kappa", "--case",
+               "--log-n", "--j", "--u", "--replicas", "--seed", "--workers", "--out",
+               "--format"}
+
+
+def test_config_fields_pinned():
+    fields = {f.name for f in dataclasses.fields(harness.ExperimentConfig)}
+    assert fields == CONFIG_FIELDS
+
+
+def test_cli_options_pinned():
+    parser = cli._parser()
+    (subparsers,) = [a for a in parser._actions
+                     if isinstance(a, argparse._SubParsersAction)]
+    assert set(subparsers.choices) == set(cli._RUNNERS)
+    for name, sub in subparsers.choices.items():
+        options = {s for action in sub._actions for s in action.option_strings}
+        assert options == CLI_OPTIONS, name
 
 
 def test_cli_import_leaves_scipy_integrate_unloaded():
