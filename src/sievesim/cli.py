@@ -22,11 +22,13 @@ _RUNNERS = {
     "theorem-2": harness.run_theorem2,
     "theorem-3": harness.run_theorem3,
     "fixed-level": harness.run_fixed_level_link,
-    "appendix": None,  # needs no config beyond the seed
+    "appendix": harness.run_appendix_checks,
 }
 
+_FORMATS = ("csv", "json", "both")
+
 # flag and config-file keys that differ from the ExperimentConfig field they set
-_RENAMED = {"log_n": "log_n_list", "j": "j_list", "u": "u_list", "format": "fmt"}
+_RENAMED = {"log_n": "log_n_list", "j": "j_list", "u": "u_list"}
 
 
 def _read_config_file(path: str) -> dict:
@@ -65,13 +67,14 @@ def _parser() -> argparse.ArgumentParser:
         p.add_argument("--seed", type=int)
         p.add_argument("--workers", type=int)
         p.add_argument("--out", default=".")
-        p.add_argument("--format", choices=["csv", "json", "both"])
+        p.add_argument("--format", choices=_FORMATS)
     return parser
 
 
 def _merged_settings(args) -> dict:
     """Config-file entries overridden by flags, keyed by ExperimentConfig
-    field name; case, alpha, c and kappa set the model parameters."""
+    field name; case, alpha, c and kappa set the model parameters, and
+    format the output format."""
     settings = _read_config_file(args.config) if args.config else {}
     settings.update((key, val) for key, val in vars(args).items()
                     if val is not None and key not in ("command", "config", "out"))
@@ -115,17 +118,13 @@ def _build_config(settings: dict) -> harness.ExperimentConfig:
 def main(argv=None) -> int:
     args = _parser().parse_args(sys.argv[1:] if argv is None else argv)
     settings = _merged_settings(args)
-    if args.command == "appendix":
-        for key in settings:
-            if key not in ("seed", "fmt"):
-                raise ValueError(f"appendix takes only seed and format, not {key!r}")
-        report = harness.run_appendix_checks(int(settings.get("seed",
-                                                              harness.DEFAULT_SEED)))
-        fmt = str(settings.get("fmt", "both"))
-    else:
-        config = _build_config(settings)
-        report = _RUNNERS[args.command](config)
-        fmt = config.fmt
+    fmt = settings.pop("format", "both")
+    if fmt not in _FORMATS:
+        raise ValueError(f"unknown format {fmt!r}")
+    extra = [key for key in settings if key != "seed"]
+    if args.command == "appendix" and extra:
+        raise ValueError(f"appendix takes only seed and format, not {extra[0]!r}")
+    report = _RUNNERS[args.command](_build_config(settings))
     paths = harness.emit(report, fmt, args.out)
     for check in report.checks:
         state = "PASS" if check["passed"] else "FAIL"

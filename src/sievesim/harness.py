@@ -49,6 +49,9 @@ __all__ = [
 
 DEFAULT_SEED = 20250809
 _CHUNK = 64
+_LIMIT_DRAWS = 10 ** 4  # limit-law draws per sweep
+_GRID_REPLICAS = 10 ** 5  # Monte Carlo replicas per U or V grid
+_FIXED_LEVEL_JS = (4, 16, 64)  # depths of the fixed-level link
 
 # substream tags, one per consumer of randomness
 _TAG_LIMIT = 0
@@ -79,16 +82,12 @@ class ExperimentConfig:
     u_list: tuple = (0.6, 1.0)
     replicas: int = 2000
     seed: int = DEFAULT_SEED
-    limit_draws: int = 10000
-    grid_replicas: int = 100000
-    fixed_level_js: tuple = (4, 16, 64)
     workers: int = 1
-    fmt: str = "both"
 
     def __post_init__(self):
         # counts are exact integers: a float count fails here, and a
         # numpy integer hashes like the equal Python int
-        for name in ("replicas", "seed", "limit_draws", "grid_replicas", "workers"):
+        for name in ("replicas", "seed", "workers"):
             setattr(self, name, operator.index(getattr(self, name)))
         self.log_n_list = tuple(float(x) for x in self.log_n_list)
         self.u_list = tuple(float(u) for u in self.u_list)
@@ -99,28 +98,19 @@ class ExperimentConfig:
         # the default rule is the paper's own choice; warn near the cap only
         # for depths the caller chose
         chosen = self.j_list is not None
-        if not chosen:
-            self.j_list = tuple(max(1, math.floor(x ** 0.3)) for x in self.log_n_list)
-        else:
-            self.j_list = tuple(int(j) for j in self.j_list)
+        js = self.j_list if chosen else [max(1, math.floor(x ** 0.3)) for x in self.log_n_list]
+        try:  # like the counts, depths are exact integers
+            self.j_list = tuple(operator.index(j) for j in js)
+        except TypeError:
+            raise TypeError(f"j_list must hold integers, got {js!r}") from None
         if len(self.j_list) != len(self.log_n_list):
             raise ValueError("j_list must have one entry per log_n")
         if self.replicas < 100:
             raise ValueError("replicas must be at least 100")
-        if self.grid_replicas < 100:
-            raise ValueError("grid_replicas must be at least 100")
-        if self.limit_draws < 1:
-            raise ValueError("limit_draws must be at least 1")
+        if self.seed < 0:
+            raise ValueError("seed must be non-negative")
         if self.workers < 1:
             raise ValueError("workers must be at least 1")
-        js = self.fixed_level_js
-        if (not isinstance(js, tuple) or not js
-                or any(type(j) is not int or j < 1 for j in js)
-                or any(i >= j for i, j in zip(js, js[1:]))):
-            raise ValueError("fixed_level_js must be a nonempty, strictly increasing "
-                             f"tuple of positive ints, got {js!r}")
-        if self.fmt not in ("csv", "json", "both"):
-            raise ValueError(f"unknown format {self.fmt!r}")
         a = self.params.alpha
         cap_exp = min(1.0 / 3.0, a / (a + 1.0))
         for log_n, j in zip(self.log_n_list, self.j_list):
@@ -146,9 +136,8 @@ class ExperimentConfig:
     def config_hash(self) -> str:
         payload = asdict(self)
         payload["params"]["law"] = self.params.law.value
-        # execution and output details do not change the results
-        for key in ("workers", "fmt"):
-            payload.pop(key, None)
+        # the worker count does not change the results
+        del payload["workers"]
         blob = json.dumps(payload, sort_keys=True)
         return hashlib.sha256(blob.encode()).hexdigest()[:16]
 
@@ -262,7 +251,7 @@ def _grid(config: ExperimentConfig, estimate, sub: int) -> GridFunction:
     max log_n / 4096, from substream (seed, _TAG_GRID, sub)."""
     horizon = max(config.log_n_list)
     return estimate(config.params, horizon, horizon * 2.0 ** -12,
-                    config.grid_replicas, substream(config.seed, _TAG_GRID, sub))
+                    _GRID_REPLICAS, substream(config.seed, _TAG_GRID, sub))
 
 
 def _intensity_powers(config: ExperimentConfig, sub: int, j_max: int) -> list:
@@ -292,7 +281,7 @@ def _limit_sweep(report: Report, config: ExperimentConfig, key: tuple, coord: st
     """
     u_list = config.u_list
     lim_vals, _ = stable_paths.sample_limit_integrals(
-        config.params.alpha, u_list, config.limit_draws,
+        config.params.alpha, u_list, _LIMIT_DRAWS,
         substream(config.seed, _TAG_LIMIT, *key))
     for k, u in enumerate(u_list):
         report.add_rows(f"{report.experiment}/limit", lim_vals[:, k], u=u)
@@ -479,11 +468,10 @@ def run_fixed_level_link(config: ExperimentConfig) -> Report:
     rng = substream(config.seed, _TAG_LINK)
     ref, _ = stable_paths.sample_limit_integrals(a, [1.0], n, rng)
     ref = ref[:, 0]
-    js = config.fixed_level_js
-    joint = stable_paths.sample_fixed_level_limits(a, js, n, rng)
+    joint = stable_paths.sample_fixed_level_limits(a, _FIXED_LEVEL_JS, n, rng)
     ks_seq = []
     means = []
-    for j, column in zip(js, joint.T):
+    for j, column in zip(_FIXED_LEVEL_JS, joint.T):
         draws = j ** a * column
         ks = ks_two_sample(draws, ref)
         ks_seq.append(ks)
@@ -561,9 +549,10 @@ def run_limit_sample(config: ExperimentConfig) -> Report:
 
 # -------------------------------------------------------------------- appendix
 
-def run_appendix_checks(seed: int = DEFAULT_SEED) -> Report:
+def run_appendix_checks(config: ExperimentConfig) -> Report:
     """Deterministic gamma-ratio sweep plus negative-moment quadrature and
-    Monte Carlo cross-checks."""
+    Monte Carlo cross-checks; of the config only the seed is read."""
+    seed = config.seed
     cfg_hash = hashlib.sha256(f"appendix:{seed}".encode()).hexdigest()[:16]
     report = Report("appendix", cfg_hash, seed)
 

@@ -95,7 +95,7 @@ def test_criterion_02_negative_moment_formula():
 def test_criterion_03_transform_identities():
     t0 = time.perf_counter()
     cfg = ExperimentConfig(log_n_list=(30.0,), j_list=(2,), u_list=(1.0,),
-                           replicas=100, grid_replicas=10 ** 5, seed=DEFAULT_SEED)
+                           replicas=100, seed=DEFAULT_SEED)
     report = harness.run_renewal(cfg)
     elapsed = time.perf_counter() - t0
     ok = report.passed and elapsed < 300.0
@@ -177,8 +177,7 @@ def test_criterion_06_exact_vs_poissonized():
 @pytest.fixture(scope="module")
 def theorem_main_report():
     cfg = ExperimentConfig(log_n_list=(50.0, 150.0, 400.0), j_list=(3, 4, 6),
-                           u_list=(0.6, 1.0), replicas=2000, limit_draws=10 ** 4,
-                           seed=DEFAULT_SEED)
+                           u_list=(0.6, 1.0), replicas=2000, seed=DEFAULT_SEED)
     t0 = time.perf_counter()
     report = harness.run_theorem_main(cfg)
     return report, time.perf_counter() - t0
@@ -227,11 +226,9 @@ def test_criterion_07iii_theorem_main_bias_runtime_memory(theorem_main_report):
 @pytest.fixture(scope="module")
 def walk_theorem_reports():
     cfg2 = ExperimentConfig(log_n_list=(100.0, 200.0, 400.0), j_list=(3, 4, 5),
-                            u_list=(1.0,), replicas=2000, limit_draws=10 ** 4,
-                            grid_replicas=10 ** 5, seed=DEFAULT_SEED)
+                            u_list=(1.0,), replicas=2000, seed=DEFAULT_SEED)
     cfg3 = ExperimentConfig(log_n_list=(100.0, 200.0, 400.0), j_list=(3, 4, 5),
-                            u_list=(1.0,), replicas=1200, grid_replicas=10 ** 5,
-                            seed=DEFAULT_SEED)
+                            u_list=(1.0,), replicas=1200, seed=DEFAULT_SEED)
     t0 = time.perf_counter()
     rep2 = harness.run_theorem2(cfg2)
     rep3 = harness.run_theorem3(cfg3)
@@ -273,8 +270,7 @@ def test_criterion_09_inverse_subordinator_laws():
     se = draws.std() / math.sqrt(draws.size)
     mean_dev = draws.mean() - 2 / math.pi
 
-    cfg = ExperimentConfig(replicas=10 ** 5, fixed_level_js=(4, 16, 64),
-                           seed=DEFAULT_SEED)
+    cfg = ExperimentConfig(replicas=10 ** 5, seed=DEFAULT_SEED)
     link = harness.run_fixed_level_link(cfg)
     elapsed = time.perf_counter() - t0
     link_ok = link.passed
@@ -297,8 +293,7 @@ def test_criterion_10_determinism_across_workers(tmp_path):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             cfg = ExperimentConfig(log_n_list=(25.0,), j_list=(2,), u_list=(1.0,),
-                                   replicas=128, limit_draws=256, workers=workers,
-                                   seed=DEFAULT_SEED)
+                                   replicas=128, workers=workers, seed=DEFAULT_SEED)
             report = harness.run_theorem_main(cfg)
         out = tmp_path / f"workers{workers}"
         paths = emit(report, "both", str(out))

@@ -31,8 +31,7 @@ from sievesim.streams import substream
 
 def small_config(**kw):
     defaults = dict(log_n_list=(25.0, 50.0), j_list=(2, 2), u_list=(1.0,),
-                    replicas=150, limit_draws=400, grid_replicas=2000,
-                    fixed_level_js=(4, 16))
+                    replicas=150)
     defaults.update(kw)
     return ExperimentConfig(**defaults)
 
@@ -58,8 +57,11 @@ class TestKsTwoSample:
     def test_matches_scipy_with_ties(self, xs, ys):
         a = np.array(xs, dtype=float)
         b = np.array(ys, dtype=float)
-        assert ks_two_sample(a, b) == pytest.approx(
-            ks_2samp(a, b, method="asymp").statistic, abs=1e-12)
+        # only the statistic is compared; the asymptotic p-value, which this
+        # test discards, divides by zero on some samples
+        with np.errstate(divide="ignore"):
+            expected = ks_2samp(a, b, method="asymp").statistic
+        assert ks_two_sample(a, b) == pytest.approx(expected, abs=1e-12)
 
     @settings(max_examples=100, deadline=None, derandomize=True)
     @given(st.lists(st.tuples(st.integers(-3, 3), st.integers(-3, 3)),
@@ -114,12 +116,6 @@ class TestConfigValidation:
         with pytest.raises(ValueError, match="floor"):
             small_config(u_list=(0.3,))
 
-    @pytest.mark.parametrize("js", [(), (4, 4), (16, 4), (0, 4), (4.0, 16), [4, 16]])
-    def test_fixed_level_js_rejected(self, js):
-        # empty, repeated, unordered, nonpositive, non-int, not a tuple
-        with pytest.raises(ValueError, match="fixed_level_js"):
-            small_config(fixed_level_js=js)
-
     def test_default_j_rule(self):
         cfg = ExperimentConfig(log_n_list=(50.0, 150.0), u_list=(1.0,), replicas=150)
         assert cfg.j_list == (3, 4)
@@ -131,7 +127,7 @@ class TestConfigValidation:
 
     @pytest.mark.parametrize("field, value", [
         ("workers", 0), ("workers", -3), ("log_n_list", ()), ("u_list", ()),
-        ("limit_draws", 0), ("grid_replicas", 99)])
+        ("seed", -1)])
     def test_bad_setting_names_its_field(self, field, value):
         with pytest.raises(ValueError, match=field):
             small_config(**{field: value})
@@ -143,16 +139,28 @@ class TestConfigValidation:
         assert a.config_hash() != c.config_hash()
 
     def test_numpy_counts_hash_like_python_ints(self):
-        plain = ExperimentConfig(replicas=200, seed=5)
-        numpy_ = ExperimentConfig(replicas=np.int64(200), seed=np.int32(5))
+        plain = small_config(replicas=200, seed=5)
+        numpy_ = small_config(replicas=np.int64(200), seed=np.int32(5),
+                              j_list=(np.int64(2), np.int32(2)))
         assert numpy_.config_hash() == plain.config_hash()
         assert type(numpy_.replicas) is int and type(numpy_.seed) is int
+        assert all(type(j) is int for j in numpy_.j_list)
 
-    @pytest.mark.parametrize("name", ["replicas", "seed", "limit_draws",
-                                      "grid_replicas", "workers"])
+    @pytest.mark.parametrize("name", ["replicas", "seed", "workers"])
     def test_float_count_rejected(self, name):
         with pytest.raises(TypeError):
             small_config(**{name: 200.0})
+
+    def test_float_depth_rejected(self, tmp_path):
+        # a depth of 2.7 is an error, not a silent depth of 2
+        with pytest.raises(TypeError, match="j_list"):
+            small_config(j_list=(2.7, 2))
+        cfg_file = tmp_path / "run.cfg"
+        cfg_file.write_text("log_n=25,50\nj=2.7\nu=1.0\nreplicas=150\n")
+        settings_ = cli._merged_settings(
+            cli._parser().parse_args(["occupancy", "--config", str(cfg_file)]))
+        with pytest.raises(TypeError, match="j_list"):
+            cli._build_config(settings_)
 
 
 class TestEmit:
@@ -269,8 +277,7 @@ class TestRunners:
 
     def test_theorem3_depth_one_exact_zero(self):
         # at depth 1 the weighted sum is the raw count: the difference is 0
-        cfg = small_config(log_n_list=(25.0,), j_list=(1,), replicas=120,
-                           grid_replicas=500)
+        cfg = small_config(log_n_list=(25.0,), j_list=(1,), replicas=120)
         rep = run_theorem3(cfg)
         diffs = [r.value for r in rep.rows]
         assert np.max(np.abs(diffs)) == 0.0
@@ -281,18 +288,11 @@ class TestRunners:
         assert limit_mean_oracle(0.5, 1.0) == pytest.approx(
             np.sqrt(2 / np.pi), rel=1e-12)
 
-    def test_fixed_level_depth_one_baseline(self):
-        # depth 1 is the raw inverse value: clearly distinct from the limit
-        rep = run_fixed_level_link(small_config(replicas=3000,
-                                                fixed_level_js=(1, 16)))
-        assert rep.summary["ks(j=1)"] > 3 * rep.summary["ks(j=16)"]
-        assert rep.summary["ks(j=1)"] > 0.05
-
     def test_theorem2_level_one_reduces_to_count_scaling(self):
         # floor(j u) = 1: the statistic is the scaled point count, so every
         # normalized value lies on the lattice c j^alpha / (rho_0 t^alpha) Z
         cfg = small_config(log_n_list=(25.0,), j_list=(2,), u_list=(0.5,),
-                           replicas=120, grid_replicas=500, limit_draws=300)
+                           replicas=120)
         rep = run_theorem2(cfg)
         vals = np.array([r.value for r in rep.rows
                          if r.experiment == "theorem-2/statistic"])
@@ -306,7 +306,7 @@ class TestRunners:
         assert len(rep.rows) == 300
 
     def test_appendix_passes(self):
-        rep = run_appendix_checks()
+        rep = run_appendix_checks(ExperimentConfig())
         assert rep.passed, [c for c in rep.checks if not c["passed"]]
 
 
@@ -353,21 +353,31 @@ class TestCli:
 
     def test_config_file_sets_every_field(self, tmp_path):
         cfg_file = tmp_path / "run.cfg"
-        cfg_file.write_text("case=b\nkappa=2\nlimit_draws=300\ngrid_replicas=500\n"
-                            "fixed_level_js=4,16\nworkers=2\nformat=json\n"
+        cfg_file.write_text("case=b\nkappa=2\nworkers=2\n"
                             "log_n_list=25,50\nj_list=2\n")
         cfg = cli._build_config(cli._merged_settings(
             cli._parser().parse_args(["occupancy", "--config", str(cfg_file)])))
         assert cfg.params == ModelParams(law=WLaw.GAMMA_MIXTURE, kappa=2.0)
-        assert (cfg.limit_draws, cfg.grid_replicas) == (300, 500)
-        assert cfg.fixed_level_js == (4, 16)
-        assert all(type(j) is int for j in cfg.fixed_level_js)
-        assert (cfg.workers, cfg.fmt) == (2, "json")
+        assert cfg.workers == 2
         assert cfg.log_n_list == (25.0, 50.0) and cfg.j_list == (2, 2)
+
+    def test_config_file_format(self, tmp_path):
+        cfg_file = tmp_path / "run.cfg"
+        cfg_file.write_text("u=1.0\nreplicas=100\nformat=json\n")
+        assert cli.main(["limit-sample", "--config", str(cfg_file),
+                         "--out", str(tmp_path / "a")]) == 0
+        assert [p.name for p in (tmp_path / "a").iterdir()] == ["limit-sample_summary.json"]
+        # a bad format fails before the run starts, so nothing is written
+        cfg_file.write_text("u=1.0\nreplicas=100\nformat=xml\n")
+        with pytest.raises(ValueError, match="format"):
+            cli.main(["limit-sample", "--config", str(cfg_file),
+                      "--out", str(tmp_path / "b")])
+        assert not (tmp_path / "b").exists()
 
     def test_unknown_config_key_rejected(self, tmp_path):
         for line in ("repicas=9999", "horizon=300", "params=x", "out_dir=x",
-                     "threshold_rule=offset:3", "step=0.001"):
+                     "threshold_rule=offset:3", "step=0.001", "limit_draws=300",
+                     "grid_replicas=500", "fixed_level_js=4,16", "fmt=json"):
             cfg_file = tmp_path / "run.cfg"
             cfg_file.write_text(f"replicas=150\n{line}\n")
             settings_ = cli._merged_settings(
@@ -382,6 +392,11 @@ class TestCli:
         cfg_file.write_text("seed=3\nsed=4\n")
         with pytest.raises(ValueError, match="'sed'"):
             cli.main(["appendix", "--config", str(cfg_file), "--out", str(tmp_path)])
+        assert not (tmp_path / "appendix_summary.json").exists()
+
+    def test_appendix_rejects_negative_seed(self, tmp_path):
+        with pytest.raises(ValueError, match="seed"):
+            cli.main(["appendix", "--seed", "-1", "--out", str(tmp_path)])
         assert not (tmp_path / "appendix_summary.json").exists()
 
     def test_failing_check_nonzero_exit(self, tmp_path, monkeypatch):

@@ -214,6 +214,15 @@ class TestFixedLevel:
         se = draws.std() / math.sqrt(draws.size)
         assert abs(draws.mean() - oracle) <= 4 * se + coef / 512.0
 
+    def test_depth_one_baseline(self, rng):
+        # depth 1 is the raw inverse value: clearly distinct from the limit
+        # that j^alpha times the depth-j draw approaches
+        ref = sample_limit_integrals(0.5, [1.0], 3000, rng)[0][:, 0]
+        joint = sample_fixed_level_limits(0.5, (1, 16), 3000, rng)
+        ks1, ks16 = (ks_two_sample(j ** 0.5 * col, ref) for j, col in zip((1, 16), joint.T))
+        assert ks1 > 3 * ks16
+        assert ks1 > 0.05
+
     def test_rejects_bad_depth(self, rng):
         for js in ([0], [4, 0], []):
             with pytest.raises(ValueError):

@@ -62,7 +62,7 @@ def test_modules_found():
 
 
 CONFIG_FIELDS = {"params", "log_n_list", "j_list", "u_list", "replicas", "seed",
-                 "limit_draws", "grid_replicas", "fixed_level_js", "workers", "fmt"}
+                 "workers"}
 
 CLI_OPTIONS = {"-h", "--help", "--config", "--alpha", "--c", "--kappa", "--case",
                "--log-n", "--j", "--u", "--replicas", "--seed", "--workers", "--out",
