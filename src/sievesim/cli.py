@@ -88,27 +88,31 @@ def _number(text: str):
         return float(text)
 
 
-def _convert(val, default):
+def _convert(key, val, default):
     """A flag value or config-file string as the type of the field default;
-    a tuple when the default is a tuple or None."""
-    if default is None or isinstance(default, tuple):
-        items = val.split(",") if isinstance(val, str) else val
-        return tuple(_number(x.strip()) if isinstance(x, str) else x for x in items)
-    return type(default)(val)
+    a tuple when the default is a tuple or None.  A value that does not
+    convert raises ValueError naming the key."""
+    try:
+        if default is None or isinstance(default, tuple):
+            items = val.split(",") if isinstance(val, str) else val
+            return tuple(_number(x.strip()) if isinstance(x, str) else x for x in items)
+        return type(default)(val)
+    except ValueError as exc:
+        raise ValueError(f"bad value for {key!r}: {exc}") from None
 
 
 def _build_config(settings: dict) -> harness.ExperimentConfig:
     """ExperimentConfig from merged settings; an unknown key raises ValueError."""
     settings = dict(settings)
     params = ModelParams(law=WLaw(settings.pop("case", "a")),
-                         **{key: float(settings.pop(key))
+                         **{key: _convert(key, settings.pop(key), 0.0)
                             for key in ("alpha", "c", "kappa") if key in settings})
     fields = harness.ExperimentConfig.__dataclass_fields__
     kwargs = {}
     for key, val in settings.items():
         if key not in fields or key == "params":
             raise ValueError(f"unknown config key {key!r}")
-        kwargs[key] = _convert(val, fields[key].default)
+        kwargs[key] = _convert(key, val, fields[key].default)
     if len(kwargs.get("j_list", ())) == 1:  # one depth applies to every log_n
         n_logn = len(kwargs.get("log_n_list", fields["log_n_list"].default))
         kwargs["j_list"] *= n_logn

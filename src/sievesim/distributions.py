@@ -61,11 +61,11 @@ class ModelParams:
     def __post_init__(self):
         if not 0.0 < self.alpha < 1.0:
             raise ValueError(f"alpha must be in (0,1), got {self.alpha}")
-        if not self.c > 0.0:
-            raise ValueError(f"c must be positive, got {self.c}")
+        if not 0.0 < self.c < math.inf:
+            raise ValueError(f"c must be positive and finite, got {self.c}")
         if self.law is WLaw.GAMMA_MIXTURE:
-            if self.kappa is None or not self.kappa > 0.0:
-                raise ValueError("gamma-mixture law requires kappa > 0")
+            if self.kappa is None or not 0.0 < self.kappa < math.inf:
+                raise ValueError(f"gamma-mixture law requires 0 < kappa < inf, got {self.kappa}")
         elif self.kappa is not None:
             raise ValueError(f"kappa is only meaningful for the gamma-mixture law, got {self.kappa}")
 
@@ -197,7 +197,7 @@ def laplace_xi(params: ModelParams, s):
         t0 = c ** (1.0 / a)
         out = (np.exp(-s_arr * t0)
                - c * gamma_fn(1.0 - a) * s_arr ** a * gammaincc(1.0 - a, s_arr * t0))
-    return float(out) if np.isscalar(s) else out
+    return out
 
 
 def constants(params: ModelParams) -> DerivedConstants:
@@ -247,7 +247,7 @@ def gamma_ratio_bound_holds(x, y):
     """Check Gamma(x+1+y)/Gamma(x+1) <= 1.1*(x+1+y)^y for x,y >= 0.
 
     Evaluated through log-gamma so large arguments cannot overflow.
-    Returns the arrays (holds, lhs, rhs), shaped like the broadcast input.
+    Returns the boolean array holds, shaped like the broadcast input.
     """
     x_arr = np.asarray(x, dtype=float)
     y_arr = np.asarray(y, dtype=float)
@@ -255,5 +255,4 @@ def gamma_ratio_bound_holds(x, y):
         raise ValueError("x and y must be nonnegative")
     log_lhs = gammaln(x_arr + 1.0 + y_arr) - gammaln(x_arr + 1.0)
     log_rhs = math.log(1.1) + y_arr * np.log(x_arr + 1.0 + y_arr)
-    holds = log_lhs <= log_rhs + 1e-12
-    return holds, np.exp(log_lhs), np.exp(log_rhs)
+    return log_lhs <= log_rhs + 1e-12

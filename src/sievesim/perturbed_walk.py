@@ -87,17 +87,15 @@ def generate_walk(params: ModelParams, horizon: float, rng: np.random.Generator,
     return WalkPath(horizon=horizon, n_walks=n_walks, owner=owner, t_values=points)
 
 
-def weighted_sum_statistic(path: WalkPath, v_grid, t: float) -> np.ndarray:
-    """Per walk, the sum of v_grid(t - T_r) over its points T_r <= t
-    (0.0 for a walk without such points).
+def weighted_sum_statistic(path: WalkPath, v_grid) -> np.ndarray:
+    """Per walk, the sum of v_grid(t - T_r) over its points T_r, all at or
+    below t = path.horizon (0.0 for a walk without points).
 
     v_grid is a GridFunction covering [0, t]; values between grid nodes are
     linearly interpolated.
     """
-    if t > path.horizon:
-        raise ValueError(f"t={t} is beyond the walk horizon {path.horizon}")
+    t = path.horizon
     if v_grid.horizon < t:
         raise ValueError(f"grid covers [0, {v_grid.horizon:.6g}] but t={t}")
-    inside = path.t_values <= t
-    weights = v_grid(t - path.t_values[inside])
-    return np.bincount(path.owner[inside], weights=weights, minlength=path.n_walks)
+    weights = v_grid(t - path.t_values)
+    return np.bincount(path.owner, weights=weights, minlength=path.n_walks)

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import gammaln
@@ -30,7 +30,6 @@ __all__ = [
     "fit_two_term",
     "check_vj_bound_chain",
     "uniform_ratio_sup",
-    "BoundReport",
 ]
 
 _BATCH = 4096
@@ -64,8 +63,7 @@ class GridFunction:
         x_arr = np.asarray(x, dtype=float)
         if np.any(x_arr < -1e-9) or np.any(x_arr > self.horizon * (1 + 1e-12) + 1e-9):
             raise ValueError("argument outside the grid range")
-        out = np.interp(x_arr, self.grid(), self.values)
-        return float(out) if np.isscalar(x) else out
+        return np.interp(x_arr, self.grid(), self.values)
 
     def laplace_stieltjes(self, s: float) -> float:
         """int e^(-s t) dG(t) over [0, horizon]: the atom at 0 carries mass
@@ -88,6 +86,8 @@ def _count_grid_mc(draw, horizon: float, step: float, n_replicas: int,
     2^53, so they are exact in float64.  Replicas run in batches of _BATCH,
     which fixes the sizes of the draw calls and hence the random stream.
     """
+    if n_replicas < 100:
+        raise ValueError("n_replicas must be at least 100")
     nbin = int(round(horizon / step))
     total = np.zeros(nbin + 1)
     totsq = np.zeros(nbin + 1)
@@ -113,8 +113,6 @@ def estimate_V(params: ModelParams, horizon: float, step: float, n_replicas: int
                rng: np.random.Generator) -> GridFunction:
     """Pointwise MC average of N(t) over independent walks; monotone by
     construction since every replica count is monotone."""
-    if n_replicas < 100:
-        raise ValueError("n_replicas must be at least 100")
     mean, se = _count_grid_mc(functools.partial(sample_w_pair, params), horizon, step,
                               n_replicas, rng, origin_mass=False)
     return GridFunction(step=step, values=mean, se=se)
@@ -123,9 +121,6 @@ def estimate_V(params: ModelParams, horizon: float, step: float, n_replicas: int
 def estimate_U(params: ModelParams, horizon: float, step: float, n_replicas: int,
                rng: np.random.Generator) -> GridFunction:
     """Pointwise MC average of the number of walk points S_i <= t, i >= 0."""
-    if n_replicas < 100:
-        raise ValueError("n_replicas must be at least 100")
-
     def draw(rng_, n):  # the points S_i themselves: eta = xi
         xi = sample_xi(params, rng_, n)
         return xi, xi
@@ -169,26 +164,13 @@ def fit_two_term(v: GridFunction, renewal_coef: float, alpha: float) -> float:
     return float(np.max(np.abs(v.values[1:] - renewal_coef * t ** alpha)))
 
 
-@dataclass
-class BoundReport:
-    """Outcome of the convolution-power bound checks."""
-
-    n_checked: int
-    violations: list = field(default_factory=list)
-    uniform_sups: dict = field(default_factory=dict)
-
-
 def _power_term(consts: DerivedConstants, j: int, t: np.ndarray) -> np.ndarray:
-    """rho_j * t^(alpha j), evaluated in log space."""
-    out = np.zeros_like(t)
-    pos = t > 0.0
-    out[pos] = np.exp(consts.log_power_coefs[j]
-                      + consts.alpha * j * np.log(t[pos]))
-    return out
+    """rho_j * t^(alpha j) for t > 0, evaluated in log space."""
+    return np.exp(consts.log_power_coefs[j] + consts.alpha * j * np.log(t))
 
 
 def check_vj_bound_chain(v_list: list[GridFunction], consts: DerivedConstants,
-                         residual_coef: float) -> BoundReport:
+                         residual_coef: float) -> tuple[list, int]:
     """Verify the deviation bounds of the convolution powers on the grid.
 
     With the two-term bound |V(t) - C t^alpha| <= D, D = residual_coef
@@ -201,9 +183,9 @@ def check_vj_bound_chain(v_list: list[GridFunction], consts: DerivedConstants,
     asserted as well.  t = 0, where every V_j vanishes, is not checked.
     Violations beyond the slack
     eps = (hi - lo)/2 + 3 h Lipschitz (hi/lo: convolution chains of the
-    estimate +/- 3 SE) are reported, not raised.  For j <= 4 the sup of
-    |V_j / (rho_j t^(alpha j)) - 1| over t >= horizon / 8 goes to
-    uniform_sups[j].
+    estimate +/- 3 SE of V = v_list[0]) are reported, not raised.  Returns
+    (violations, n_checked): one dict per violation, and the number of
+    (bound, j, t) checks made.
     """
     v = v_list[0]
     j_max = len(v_list)
@@ -213,15 +195,14 @@ def check_vj_bound_chain(v_list: list[GridFunction], consts: DerivedConstants,
     t = v.grid()[1:]
     log_t = np.log(t)
 
-    se = v.se if v.se is not None else np.zeros_like(v.values)
-    hi = GridFunction(step=h, values=np.maximum.accumulate(v.values + 3.0 * se))
-    lo_vals = np.maximum.accumulate(np.maximum(v.values - 3.0 * se, 0.0))
+    hi = GridFunction(step=h, values=np.maximum.accumulate(v.values + 3.0 * v.se))
+    lo_vals = np.maximum.accumulate(np.maximum(v.values - 3.0 * v.se, 0.0))
     lo_vals[0] = 0.0
     lo = GridFunction(step=h, values=lo_vals)
     hi_pow = convolution_powers(hi, j_max)
     lo_pow = convolution_powers(lo, j_max)
 
-    report = BoundReport(n_checked=0)
+    violations, n_checked = [], 0
     log_ga1 = gammaln(alpha + 1.0)
     log_c = math.log(coef)
     log_d = math.log(dd) if dd > 0.0 else -math.inf
@@ -254,17 +235,12 @@ def check_vj_bound_chain(v_list: list[GridFunction], consts: DerivedConstants,
                 ("simplified-2.1", cond, lhs, rhs21),
                 ("growth-envelope", cond, vj, 3.31 * target)):
             for m in np.nonzero(applies & (lhs_b > rhs_b + eps))[0]:
-                report.violations.append({
+                violations.append({
                     "bound": bound, "j": j, "t": float(t[m]), "lhs": float(lhs_b[m]),
                     "rhs": float(rhs_b[m]), "eps": float(eps[m]),
                 })
-        report.n_checked += t.size + 2 * int(cond.sum())
-
-        if j <= 4:
-            y_min = v_list[j - 1].horizon / 8
-            report.uniform_sups[j] = (y_min,
-                                      uniform_ratio_sup(v_list, consts, j, y_min))
-    return report
+        n_checked += t.size + 2 * int(cond.sum())
+    return violations, n_checked
 
 
 def uniform_ratio_sup(v_list: list[GridFunction], consts: DerivedConstants, j: int,

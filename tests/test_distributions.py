@@ -309,14 +309,12 @@ class TestNegMoment:
 
 class TestGammaRatioBound:
     def test_trivial_origin(self):
-        holds, lhs, rhs = gamma_ratio_bound_holds(np.array([0.0]), np.array([0.0]))
-        assert holds[0] and lhs[0] == pytest.approx(1.0) and rhs[0] == pytest.approx(1.1)
+        # Gamma(1)/Gamma(1) = 1 <= 1.1
+        assert gamma_ratio_bound_holds(np.array([0.0]), np.array([0.0]))[0]
 
     def test_integer_point(self):
-        holds, lhs, rhs = gamma_ratio_bound_holds(np.array([3.0]), np.array([2.0]))
-        assert holds[0]
-        assert lhs[0] == pytest.approx(20.0, rel=1e-12)
-        assert rhs[0] == pytest.approx(1.1 * 6.0 ** 2, rel=1e-12)
+        # Gamma(6)/Gamma(4) = 20 <= 1.1 * 6^2
+        assert gamma_ratio_bound_holds(np.array([3.0]), np.array([2.0]))[0]
 
     def test_rejects_negative(self):
         with pytest.raises(ValueError):
@@ -325,5 +323,4 @@ class TestGammaRatioBound:
     @settings(max_examples=200, deadline=None, derandomize=True)
     @given(st.floats(0.0, 80.0), st.floats(0.0, 80.0))
     def test_holds_everywhere(self, x, y):
-        holds, _, _ = gamma_ratio_bound_holds(np.array([x]), np.array([y]))
-        assert holds[0]
+        assert gamma_ratio_bound_holds(np.array([x]), np.array([y]))[0]

@@ -127,10 +127,15 @@ class TestConfigValidation:
 
     @pytest.mark.parametrize("field, value", [
         ("workers", 0), ("workers", -3), ("log_n_list", ()), ("u_list", ()),
-        ("seed", -1)])
+        ("seed", -1), ("log_n_list", (np.nan, 50.0)), ("log_n_list", (25.0, np.inf)),
+        ("u_list", (np.nan,)), ("u_list", (np.inf,)), ("c", np.inf), ("kappa", np.inf)])
     def test_bad_setting_names_its_field(self, field, value):
         with pytest.raises(ValueError, match=field):
-            small_config(**{field: value})
+            if field in ("c", "kappa"):  # model parameters
+                small_config(params=ModelParams(law=WLaw.GAMMA_MIXTURE,
+                                                **{"kappa": 2.0, field: value}))
+            else:
+                small_config(**{field: value})
 
     def test_hash_stable_and_sensitive(self):
         a, b = small_config(), small_config()
@@ -373,6 +378,16 @@ class TestCli:
             cli.main(["limit-sample", "--config", str(cfg_file),
                       "--out", str(tmp_path / "b")])
         assert not (tmp_path / "b").exists()
+
+    @pytest.mark.parametrize("line, key", [
+        ("replicas=150.0", "'replicas'"), ("u=abc", "'u_list'"), ("alpha=abc", "'alpha'")])
+    def test_unconvertible_config_value_names_its_key(self, tmp_path, line, key):
+        cfg_file = tmp_path / "run.cfg"
+        cfg_file.write_text(f"log_n=25,50\nj=2\n{line}\n")
+        settings_ = cli._merged_settings(
+            cli._parser().parse_args(["occupancy", "--config", str(cfg_file)]))
+        with pytest.raises(ValueError, match=key):
+            cli._build_config(settings_)
 
     def test_unknown_config_key_rejected(self, tmp_path):
         for line in ("repicas=9999", "horizon=300", "params=x", "out_dir=x",

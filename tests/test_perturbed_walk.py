@@ -128,15 +128,13 @@ class TestGenerateWalk:
 
 class TestCountN:
     def test_boundaries(self):
-        # with unit weights the statistic counts the points at or below t
-        walk = WalkPath(horizon=10.0, n_walks=1, owner=np.zeros(3, dtype=np.int64),
+        # with unit weights the statistic counts the points, one of them at
+        # the horizon; the grid must reach the horizon
+        walk = WalkPath(horizon=9.0, n_walks=1, owner=np.zeros(3, dtype=np.int64),
                         t_values=np.array([2.0, 5.0, 9.0]))
-        ones = GridFunction(step=1.0, values=np.ones(12))
-        assert weighted_sum_statistic(walk, ones, 1.0)[0] == 0
-        assert weighted_sum_statistic(walk, ones, 5.0)[0] == 2
-        assert weighted_sum_statistic(walk, ones, 10.0)[0] == 3
-        with pytest.raises(ValueError):
-            weighted_sum_statistic(walk, ones, 10.5)
+        assert weighted_sum_statistic(walk, GridFunction(step=1.0, values=np.ones(10)))[0] == 3
+        with pytest.raises(ValueError, match="grid"):
+            weighted_sum_statistic(walk, GridFunction(step=1.0, values=np.ones(9)))
 
     def test_monotone_in_t(self, rng, case_a):
         walk = generate_walk(case_a, 100.0, rng, 50)
@@ -175,26 +173,26 @@ class TestWeightedSum:
     def test_depth_zero_weights_reduce_to_count(self, rng, case_a):
         ones = GridFunction(step=1.0, values=np.ones(101))
         walk = generate_walk(case_a, 100.0, rng, 100)
-        stat = weighted_sum_statistic(walk, ones, 100.0)
+        stat = weighted_sum_statistic(walk, ones)
         assert np.array_equal(stat, count_N(walk, 100.0))
 
     def test_empty_walk(self):
-        # walks 0 and 2 have no points; walk 1 has one beyond t
+        # walks 0 and 2 have no points; walk 1 has one
         walk = WalkPath(horizon=5.0, n_walks=3, owner=np.array([1]),
                         t_values=np.array([4.5]))
         ones = GridFunction(step=1.0, values=np.ones(6))
-        assert np.array_equal(weighted_sum_statistic(walk, ones, 4.0), [0.0, 0.0, 0.0])
+        assert np.array_equal(weighted_sum_statistic(walk, ones), [0.0, 1.0, 0.0])
         empty = WalkPath(horizon=5.0, n_walks=2, owner=np.empty(0, dtype=np.int64),
                          t_values=np.empty(0))
-        assert np.array_equal(weighted_sum_statistic(empty, ones, 5.0), [0.0, 0.0])
+        assert np.array_equal(weighted_sum_statistic(empty, ones), [0.0, 0.0])
 
     def test_matches_per_walk_sum(self, grids400, case_a):
         v4 = grids400["powers"][3]
         t = 300.0
-        walk = generate_walk(case_a, 400.0, substream(3, 1), 500)
-        stat = weighted_sum_statistic(walk, v4, t)
+        walk = generate_walk(case_a, t, substream(3, 1), 500)
+        stat = weighted_sum_statistic(walk, v4)
         for r in range(walk.n_walks):
-            pts = walk.t_values[(walk.owner == r) & (walk.t_values <= t)]
+            pts = walk.t_values[walk.owner == r]
             ref = float(np.sum(v4(t - pts))) if pts.size else 0.0
             assert stat[r] == pytest.approx(ref, rel=1e-12, abs=0.0), f"walk {r}"
 
@@ -202,7 +200,7 @@ class TestWeightedSum:
         walk = generate_walk(case_a, 100.0, rng, 10)
         short = GridFunction(step=1.0, values=np.ones(11))
         with pytest.raises(ValueError, match="grid"):
-            weighted_sum_statistic(walk, short, 100.0)
+            weighted_sum_statistic(walk, short)
 
     def test_mean_matches_convolution_power(self, grids400, case_a):
         # E of the weighted sum with depth-4 weights equals the depth-5 power
@@ -211,8 +209,7 @@ class TestWeightedSum:
         v5 = grids400["powers"][4]
         t = 400.0
         n_rep = 3000
-        stats = weighted_sum_statistic(generate_walk(case_a, t, substream(3, 0), n_rep),
-                                       v4, t)
+        stats = weighted_sum_statistic(generate_walk(case_a, t, substream(3, 0), n_rep), v4)
         grid_pred = v5.values[-1]
         se_mc = stats.std() / math.sqrt(n_rep)
         # the grid prediction inherits roughly j-fold the relative SE of the

@@ -299,12 +299,26 @@ class TestFitAndBounds:
 
     def test_bound_chain_no_violations(self, grids400):
         powers = grids400["powers"]
-        report = check_vj_bound_chain(powers, grids400["consts"], grids400["residual_coef"])
-        assert not report.violations, report.violations[:3]
-        assert report.n_checked > 10 ** 4
+        violations, n_checked = check_vj_bound_chain(powers, grids400["consts"],
+                                                     grids400["residual_coef"])
+        assert not violations, violations[:3]
+        assert n_checked > 10 ** 4
         # the deviation envelope alone checks every grid point t > 0 once per
         # depth; more checks mean the simplified bounds were exercised too
-        assert report.n_checked > sum(p.values.size - 1 for p in powers)
+        assert n_checked > sum(p.values.size - 1 for p in powers)
+
+    def test_bound_chain_reports_violations(self, grids400):
+        # V_2 scaled by 1.5 breaks the deviation envelope at depth 2; the
+        # checks made do not depend on the values checked
+        powers = list(grids400["powers"])
+        powers[1] = GridFunction(step=powers[1].step, values=1.5 * powers[1].values)
+        args = (grids400["consts"], grids400["residual_coef"])
+        violations, n_checked = check_vj_bound_chain(powers, *args)
+        assert any(v["bound"] == "deviation-envelope" and v["j"] == 2 for v in violations)
+        for v in violations:
+            assert set(v) == {"bound", "j", "t", "lhs", "rhs", "eps"}
+            assert v["lhs"] > v["rhs"] + v["eps"]
+        assert n_checked == check_vj_bound_chain(grids400["powers"], *args)[1]
 
     def test_uniform_ratio_shrinks_with_horizon(self, grids400, case_a, consts_a):
         # sup over y >= gamma*horizon of |V_4 ratio - 1| decreases as the
