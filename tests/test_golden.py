@@ -26,15 +26,15 @@ GOLDEN = {
         "occupancy":
             "85001c1c46877b7ea005a508cf4e864b148a81066464c37fc0825db22f34098a",
         "renewal":
-            "9e82aa62ba638c6bcbbc74fcd4f13ce4d7db30e95a8e4a6742553f20a46ab6c2",
+            "193fb30db31d44be7c05bca4f64e42449e629ce4aea6e1052e988acb6caa0119",
         "verify-bounds":
-            "f538d049e6c329b8ec40ae7544617fd3cefc0dc246e1be10724082940d93c1ff",
+            "433085c9244af24d869e6c8fffd26c9835644ea22821bbea8129974a80d342fe",
         "theorem-main":
             "f9faa865139c04be08b99e3ae36fc4ad67e5d616d0d1bdd2a251e512edf547c2",
         "theorem-2":
-            "73fb655cf425c3ea410e8da620b5451b2bd67e8319ad33938690de3c9a3d14f2",
+            "5ddbfff3c262698906b8be3a66d80d6dee527a0dc8ef89f4ffbcc880fbbeddea",
         "theorem-3":
-            "cddc138d609728692bf3f29d971b0c431ecf85c67ace1fd1c2a115051bc42442",
+            "4b2db9b5320ade961a3101d5b0c710a0d47e44e4af1beab7d7ea30df8282c5df",
         "fixed-level":
             "844368c3f94e1e29844941e71d4fe346588d3045acf263855de9b03198f2cc36",
         "appendix":

@@ -20,6 +20,7 @@ from sievesim.harness import (
     run_appendix_checks,
     run_fixed_level_link,
     run_limit_sample,
+    run_renewal,
     run_theorem2,
     run_theorem3,
     run_theorem_main,
@@ -304,6 +305,15 @@ class TestRunners:
         unit = 2.0 ** 0.5 / 25.0 ** 0.5
         ticks = vals / unit
         assert np.allclose(ticks, np.round(ticks), atol=1e-9)
+
+    @pytest.mark.parametrize("params", [ModelParams(),
+                                        ModelParams(law=WLaw.GAMMA_MIXTURE, kappa=2.0)],
+                             ids=["case-a", "case-b-kappa2"])
+    def test_renewal_passes_at_its_default_horizon(self, params):
+        # at horizon 400 more than half of V's mass lies in its first cell,
+        # which a midpoint rule would discount by e^(-s h/2)
+        rep = run_renewal(ExperimentConfig(params=params, log_n_list=(400.0,), j_list=(5,)))
+        assert rep.passed, [c for c in rep.checks if not c["passed"]]
 
     def test_limit_sample_runner(self):
         rep = run_limit_sample(small_config(replicas=300))

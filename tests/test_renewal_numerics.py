@@ -1,23 +1,30 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy.integrate import quad
+from scipy.special import erfc, gammainc
 from scipy.special import gamma as gamma_fn
 from scipy.stats import binom
 
-from sievesim.distributions import ModelParams, WLaw, laplace_xi, sample_w_pair
+from sievesim.distributions import ModelParams, WLaw, constants, laplace_xi, sample_w_pair
 from sievesim.renewal_numerics import (
     _BATCH,
     GridFunction,
     _count_grid_mc,
+    _zolotarev_mean,
     check_vj_bound_chain,
     convolution_powers,
     convolve,
     estimate_U,
     estimate_V,
+    eta_first_cell,
     fit_two_term,
+    renewal_grids,
     uniform_ratio_sup,
+    xi_cdf,
 )
 from sievesim.streams import substream
 
@@ -67,6 +74,129 @@ class TestToyEnumeration:
             away = dist > 1.5 * h * (depth - 1)
             err = np.abs(powers[depth - 1].values - exact)[away]
             assert np.max(err) <= 1e-9, f"depth {depth}"
+
+
+class TestXiCdf:
+    def test_zolotarev_matches_erfc_at_half(self):
+        # the general-alpha integral against the alpha = 1/2 closed form
+        x = np.linspace(400.0 / 4096, 800.0, 20001)
+        zol = _zolotarev_mean(0.5, 1.0, np.log(x), lambda lam: np.exp(-lam))
+        assert np.max(np.abs(zol - erfc(np.sqrt(math.pi / (4.0 * x))))) <= 1e-10
+
+    def test_pareto_closed_form(self):
+        params = ModelParams(law=WLaw.PARETO, alpha=0.7, c=2.0)
+        x = np.array([0.0, 1.0, 2.0 ** (1 / 0.7), 3.0, 50.0])
+        want = np.maximum(1.0 - 2.0 * np.maximum(x, 1e-300) ** -0.7, 0.0)
+        assert np.array_equal(xi_cdf(params, x), want)
+
+    @pytest.mark.parametrize("alpha", [0.5, 0.8])
+    def test_mixture_table_against_quadrature(self, alpha):
+        # P(xi <= x) = int q(s) P(X <= e^(alpha (log x - s))) ds by adaptive
+        # quadrature, with q the density of log Z from the 256-node rule;
+        # the x are off the table's nodes, and some below its first node
+        params = ModelParams(alpha=alpha, law=WLaw.GAMMA_MIXTURE, kappa=2.0)
+        b = 1.0 - alpha
+
+        def q(s):
+            return _zolotarev_mean(alpha, 1.0, np.array([s]),
+                                   lambda lam: alpha / b * lam * np.exp(-lam))[0]
+
+        xs = np.exp(np.array([-65.3, -13.1, -7.77, -2.31, -0.4, 0.9, 3.3, 6.61]))
+        got = xi_cdf(params, xs)
+        for x, g in zip(xs, got):
+            want = quad(lambda s: q(s) * gammainc(2.0, 2.0 * math.exp(alpha * (math.log(x) - s))),
+                        -15.0, 80.0, points=[math.log(x)], limit=1000,
+                        epsabs=1e-16, epsrel=1e-12)[0]
+            assert abs(g - want) <= 1e-9, x
+
+    def test_mixture_matches_monte_carlo(self, case_b2, rng):
+        from sievesim.distributions import sample_xi
+
+        draws = np.sort(sample_xi(case_b2, rng, 10 ** 5))
+        x = np.array([0.05, 0.5, 2.0, 10.0, 100.0])
+        emp = np.searchsorted(draws, x, side="right") / draws.size
+        f = xi_cdf(case_b2, x)
+        assert np.all(np.abs(emp - f) <= 4.0 * np.sqrt(f * (1 - f) / draws.size) + 1e-12)
+
+    def test_no_warning_at_zero(self, case_a, case_b2):
+        # the golden digests run with warnings as errors
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for params in (case_a, ModelParams(alpha=0.8), case_b2,
+                           ModelParams(law=WLaw.PARETO)):
+                assert xi_cdf(params, np.array([0.0]))[0] == 0.0
+                u, v = renewal_grids(params, 2.0, 2.0 / 64)
+                assert u.values[0] == 1.0 and v.values[0] == 0.0
+
+
+SOLVER_LAWS = {
+    "a-half": ModelParams(),
+    "a-0.8": ModelParams(alpha=0.8),
+    "b-kappa2": ModelParams(law=WLaw.GAMMA_MIXTURE, kappa=2.0),
+}
+
+
+class TestRenewalGrids:
+    @pytest.fixture(scope="class")
+    def solved(self):
+        return {name: renewal_grids(p, 400.0, 400.0 / 4096) for name, p in SOLVER_LAWS.items()}
+
+    @pytest.mark.parametrize("name", list(SOLVER_LAWS))
+    def test_against_monte_carlo(self, solved, name):
+        # both grids within 4 SE of the Monte Carlo oracle at every point
+        # where that oracle has a nonzero SE
+        params = SOLVER_LAWS[name]
+        for k, (grid, estimate) in enumerate(zip(solved[name], (estimate_U, estimate_V))):
+            mc = estimate(params, 400.0, 400.0 / 4096, 10 ** 5, substream(14, k))
+            ok = mc.se > 0.0
+            z = (grid.values[ok] - mc.values[ok]) / mc.se[ok]
+            assert np.max(np.abs(z)) <= 4.0, (estimate.__name__, float(np.max(np.abs(z))))
+
+    @pytest.mark.parametrize("name", list(SOLVER_LAWS))
+    def test_refinement(self, solved, name):
+        u_fine, v_fine = renewal_grids(SOLVER_LAWS[name], 400.0, 400.0 / 8192)
+        u, v = solved[name]
+        assert np.max(np.abs(v.values - v_fine.values[::2])) <= 5e-4
+        assert np.max(np.abs(u.values - u_fine.values[::2])) <= 5e-4
+
+    def test_second_order_constant(self, case_a, consts_a):
+        # 1/(1 - e^-Phi) = 1/Phi + 1/2 + O(Phi): V(t) - C sqrt(t) -> 1/2
+        _, v = renewal_grids(case_a, 800.0, 800.0 / 4096)
+        assert v.values[-1] - consts_a.renewal_coef * math.sqrt(800.0) == pytest.approx(
+            0.5, abs=0.002)
+
+    def test_bound_chain_on_solved_grid(self, solved, consts_a):
+        # zero violations with a zero error scale, and the depth-4 sup of
+        # the acceptance suite's criterion 4b
+        v = solved["a-half"][1]
+        powers = convolution_powers(GridFunction(step=v.step, values=v.values,
+                                                 se=np.zeros_like(v.values)), 6)
+        d = fit_two_term(v, consts_a.renewal_coef, 0.5)
+        assert d == pytest.approx(0.503, abs=0.002)
+        violations, _ = check_vj_bound_chain(powers, consts_a, d)
+        assert not violations, violations[:3]
+        assert uniform_ratio_sup(powers, consts_a, 4, 100.0) == pytest.approx(0.633, abs=0.002)
+
+    @pytest.mark.parametrize("name", list(SOLVER_LAWS))
+    def test_transforms(self, solved, name):
+        # U against its exact transform 1/(1 - phi(s)), and V at s = 1, where
+        # E e^-eta = 1 - E e^-xi makes its transform exactly 1
+        params = SOLVER_LAWS[name]
+        u, v = solved[name]
+        for s in (0.5, 1.0, 2.0):
+            target = 1.0 / (1.0 - laplace_xi(params, s))
+            assert u.laplace_stieltjes(s) == pytest.approx(target, rel=2e-3), s
+        one = v.laplace_stieltjes(1.0, eta_first_cell(params, v.step, 1.0))
+        assert one == pytest.approx(1.0, rel=3e-3)
+
+    def test_first_cell_is_the_eta_law(self, case_a, rng):
+        h = 400.0 / 4096
+        eta, _ = sample_w_pair(case_a, rng, 10 ** 6)
+        eta = eta[eta <= h]
+        for s in (0.5, 2.0):
+            disc = np.exp(-s * eta)
+            assert abs(eta_first_cell(case_a, h, s) - disc.mean()) <= 4 * disc.std() / math.sqrt(
+                eta.size)
 
 
 class TestEstimation:

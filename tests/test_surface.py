@@ -2,7 +2,8 @@
 so deleting a function without dropping its export fails here, and must be
 used by the package itself, so an export that only tests call fails too;
 the settable surface (ExperimentConfig fields and CLI options) is pinned,
-so a new setting fails here until it is added on purpose; importing the
+so a new setting fails here until it is added on purpose; the runners
+have one grid path, the renewal solver; importing the
 CLI must not load scipy's integration stack, which only the appendix
 uses."""
 
@@ -24,12 +25,12 @@ from sievesim import cli, harness
 MODULES = [m.name for m in pkgutil.iter_modules(sievesim.__path__, "sievesim.")]
 
 
-def _package_references() -> set:
-    """Every identifier the package's code reads, imports or accesses as an
-    attribute; the names that def/class statements bind and the strings of
-    __all__ are not among them."""
+def _package_references(pattern: str = "*.py") -> set:
+    """Every identifier the package's code (the modules matching pattern)
+    reads, imports or accesses as an attribute; the names that def/class
+    statements bind and the strings of __all__ are not among them."""
     refs = set()
-    for path in glob.glob(os.path.join(os.path.dirname(sievesim.__file__), "*.py")):
+    for path in glob.glob(os.path.join(os.path.dirname(sievesim.__file__), pattern)):
         with open(path) as fh:
             tree = ast.parse(fh.read())
         for node in ast.walk(tree):
@@ -55,6 +56,14 @@ def test_all_names_used_by_the_package():
               for n in getattr(importlib.import_module(name), "__all__", ())
               if n not in refs]
     assert not unused, f"exported but used by no code in the package: {unused}"
+
+
+def test_runners_have_one_grid_path():
+    # the runners read U and V from the renewal solver only; the Monte Carlo
+    # grid stays in renewal_numerics as the tests' oracle
+    mc_grid = {"estimate_V", "estimate_U", "_count_grid_mc", "_GRID_REPLICAS"}
+    assert not mc_grid & _package_references("harness.py")
+    assert "renewal_grids" in _package_references("harness.py")
 
 
 def test_modules_found():
