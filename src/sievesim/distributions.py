@@ -207,9 +207,10 @@ def constants(params: ModelParams) -> DerivedConstants:
     coefficients rho_i = exp(log_power_coefs[i]) satisfy rho_0 = 1 and
     rho_i = (renewal_coef * Gamma(alpha+1))^i / Gamma(alpha*i + 1),
     tabulated for i = 0..256.  For the stable and gamma-mixture laws the
-    remainder V(t) - renewal_coef * t^alpha is bounded (it tends to 1/2),
-    so the two-term bound has exponent 0; for the Pareto stress case no
-    such bound is derived.
+    remainder V(t) - renewal_coef * t^alpha is bounded (it tends to 1/2
+    for the stable law and to (kappa + 1) / (2 kappa) for the mixture), so
+    the two-term bound has exponent 0; for the Pareto stress case no such
+    bound is derived.
     """
     a = params.alpha
     log_coef = -(math.log(params.c) + gammaln(1.0 + a) + gammaln(1.0 - a))

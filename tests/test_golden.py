@@ -22,7 +22,7 @@ from sievesim import cli, harness
 GOLDEN = {
     "2.4.6": {
         "limit-sample":
-            "dfa4addb86cf93e735266cf20c3d4a235dc6db05680d39ea77daeff09d5123d2",
+            "1b716240fc4119262fe1aa008927298f0fffb13e53828ae1814b9b595b828466",
         "occupancy":
             "85001c1c46877b7ea005a508cf4e864b148a81066464c37fc0825db22f34098a",
         "renewal":
@@ -30,13 +30,13 @@ GOLDEN = {
         "verify-bounds":
             "433085c9244af24d869e6c8fffd26c9835644ea22821bbea8129974a80d342fe",
         "theorem-main":
-            "f9faa865139c04be08b99e3ae36fc4ad67e5d616d0d1bdd2a251e512edf547c2",
+            "dad83f325f25806546f9e6c5e1424adb4b70076893315726b625b8ad0ec691d9",
         "theorem-2":
-            "5ddbfff3c262698906b8be3a66d80d6dee527a0dc8ef89f4ffbcc880fbbeddea",
+            "265e6790279a389e4cd2fe9ec6027e8e315cc98d933af2aa4b2b44ddde88131b",
         "theorem-3":
             "4b2db9b5320ade961a3101d5b0c710a0d47e44e4af1beab7d7ea30df8282c5df",
         "fixed-level":
-            "844368c3f94e1e29844941e71d4fe346588d3045acf263855de9b03198f2cc36",
+            "d9ea07bd59c7da303b39031772c90345cd0967a2656c830102b4465fce6c5b13",
         "appendix":
             "4fbe57dd25e1031c837d6ad94515a4253435d62ab231e94fdef0823aff4bcadb",
     },

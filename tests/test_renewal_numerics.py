@@ -165,6 +165,15 @@ class TestRenewalGrids:
         assert v.values[-1] - consts_a.renewal_coef * math.sqrt(800.0) == pytest.approx(
             0.5, abs=0.002)
 
+    @pytest.mark.parametrize("alpha", [0.5, 0.8])
+    def test_second_order_constant_gamma_mixture(self, alpha):
+        # the mixture's 1/(1 - phi(s)) = 1/Phi + (kappa+1)/(2 kappa) + O(Phi):
+        # V(t) - C t^alpha -> 3/4 at kappa = 2, not the stable law's 1/2
+        params = ModelParams(alpha=alpha, law=WLaw.GAMMA_MIXTURE, kappa=2.0)
+        _, v = renewal_grids(params, 800.0, 800.0 / 4096)
+        dev = v.values[-1] - constants(params).renewal_coef * 800.0 ** alpha
+        assert dev == pytest.approx(0.75, abs=0.01)
+
     def test_bound_chain_on_solved_grid(self, solved, consts_a):
         # zero violations with a zero error scale, and the depth-4 sup of
         # the acceptance suite's criterion 4b
