@@ -8,6 +8,7 @@ reduced in chunk order, so outputs are byte-identical for any worker count.
 from __future__ import annotations
 
 import hashlib
+import itertools
 import json
 import math
 import operator
@@ -94,6 +95,11 @@ class ExperimentConfig:
             raise ValueError(f"log_n_list must be non-empty and finite, got {self.log_n_list}")
         if not (self.u_list and all(map(math.isfinite, self.u_list))):
             raise ValueError(f"u_list must be non-empty and finite, got {self.u_list}")
+        for name in ("log_n_list", "u_list"):
+            # summary keys print each value as :g, so a repeat would overwrite a key
+            labels = [f"{x:g}" for x in getattr(self, name)]
+            if len(set(labels)) < len(labels):
+                raise ValueError(f"{name} repeats a value at 6 significant digits: {labels}")
         # the default rule is the paper's own choice; warn near the cap only
         # for depths the caller chose
         chosen = self.j_list is not None
@@ -266,15 +272,29 @@ def _require_limit_law(config: ExperimentConfig) -> None:
         raise ValueError("theorem experiments require the stable or gamma-mixture law")
 
 
+def _summarize(report: Report, stat: str, values, key: str, reference=None, **columns) -> tuple:
+    """Add values as <stat> rows (columns as Report.add_rows takes them) and
+    their mean to the summary under mean(<key>); given reference draws, also
+    their KS distance to those under ks(<key>).  Every such key is written
+    here.  Returns (mean, ks), ks None without reference draws."""
+    report.add_rows(stat, values, **columns)
+    mean = float(values.mean())
+    report.summary[f"mean({key})"] = mean
+    ks = None if reference is None else ks_two_sample(values, reference)
+    if ks is not None:
+        report.summary[f"ks({key})"] = ks
+    return mean, ks
+
+
 def _limit_sweep(report: Report, config: ExperimentConfig, key: tuple, coord: str,
-                 stat: str, normalized) -> dict:
+                 stat: str, normalized) -> list:
     """Compare normalized statistics with joint limit-law draws.
 
     The limit draws come from substream (seed, _TAG_LIMIT, *key) and go to
     the <experiment>/limit rows.  normalized(i) returns the statistics at
-    the i-th (log_n, j) point shaped (replicas, len(u_list)); they go to the
-    <experiment>/<stat> rows with their mean and KS distance to the limit
-    in the summary, keyed by coord.  Returns the KS sequence of each u.
+    the i-th (log_n, j) point shaped (replicas, len(u_list)); _summarize
+    writes each column as <experiment>/<stat> rows keyed by coord and u.
+    Returns, per u, the pair (means, KS distances) along log_n_list.
     """
     u_list = config.u_list
     lim_vals, _ = stable_paths.sample_limit_integrals(
@@ -283,16 +303,14 @@ def _limit_sweep(report: Report, config: ExperimentConfig, key: tuple, coord: st
     for k, u in enumerate(u_list):
         report.add_rows(f"{report.experiment}/limit", lim_vals[:, k], u=u)
 
-    ks_by_u = {u: [] for u in u_list}
+    sweep = [[] for _ in u_list]  # per u, the (mean, ks) of each point
     for i, (x, j) in enumerate(zip(config.log_n_list, config.j_list)):
         norm = normalized(i)
         for k, u in enumerate(u_list):
-            report.add_rows(f"{report.experiment}/{stat}", norm[:, k], x, j, u)
-            ks = ks_two_sample(norm[:, k], lim_vals[:, k])
-            ks_by_u[u].append(ks)
-            report.summary[f"mean({coord}={x:g},u={u:g})"] = float(norm[:, k].mean())
-            report.summary[f"ks({coord}={x:g},u={u:g})"] = float(ks)
-    return ks_by_u
+            sweep[k].append(_summarize(report, f"{report.experiment}/{stat}", norm[:, k],
+                                       f"{coord}={x:g},u={u:g}", lim_vals[:, k],
+                                       log_n_or_t=x, j=j, u=u))
+    return [tuple(zip(*pairs)) for pairs in sweep]
 
 
 # ------------------------------------------------------------------- occupancy
@@ -362,14 +380,12 @@ def run_theorem_main(config: ExperimentConfig) -> Report:
                 norm[:, 0], norm[:, -1])
         return norm
 
-    ks_by_u = _limit_sweep(report, config, (), "log_n", "count", normalized)
-    largest = config.log_n_list[-1]
-    for u in u_list:
-        report.check_within(f"mean_within_15pct(u={u:g})",
-                            report.summary[f"mean(log_n={largest:g},u={u:g})"],
+    sweep = _limit_sweep(report, config, (), "log_n", "count", normalized)
+    for u, (means, kss) in zip(u_list, sweep):
+        report.check_within(f"mean_within_15pct(u={u:g})", means[-1],
                             limit_mean_oracle(params.alpha, u), 0.15)
-        report.check_at_most(f"ks_final<=0.15(u={u:g})", ks_by_u[u][-1], 0.15)
-        report.check_decreasing(f"ks_strictly_decreasing(u={u:g})", ks_by_u[u])
+        report.check_at_most(f"ks_final<=0.15(u={u:g})", kss[-1], 0.15)
+        report.check_decreasing(f"ks_strictly_decreasing(u={u:g})", kss)
     max_bias = max(v for k, v in report.summary.items() if k.startswith("bias_frac"))
     report.check_at_most("bias_fraction<=0.01", max_bias, 0.01)
     return report
@@ -403,10 +419,10 @@ def run_theorem2(config: ExperimentConfig) -> Report:
         (norm,) = _replicate(_theorem2_chunk, static, config, _TAG_WALK, i)
         return norm
 
-    ks_by_u = _limit_sweep(report, config, (1,), "t", "statistic", normalized)
-    for u in u_list:
-        report.summary[f"ks_trend(u={u:g})"] = [round(x, 4) for x in ks_by_u[u]]
-        report.check_at_most(f"ks_final<=0.15(u={u:g})", ks_by_u[u][-1], 0.15)
+    sweep = _limit_sweep(report, config, (1,), "t", "statistic", normalized)
+    for u, (_, kss) in zip(u_list, sweep):
+        report.summary[f"ks_trend(u={u:g})"] = [round(x, 4) for x in kss]
+        report.check_at_most(f"ks_final<=0.15(u={u:g})", kss[-1], 0.15)
     return report
 
 
@@ -466,17 +482,10 @@ def run_fixed_level_link(config: ExperimentConfig) -> Report:
     ref, _ = stable_paths.sample_limit_integrals(a, [1.0], n, rng)
     ref = ref[:, 0]
     joint = stable_paths.sample_fixed_level_limits(a, _FIXED_LEVEL_JS, n, rng)
-    ks_seq = []
-    for j, column in zip(_FIXED_LEVEL_JS, joint.T):
-        draws = j ** a * column
-        ks = ks_two_sample(draws, ref)
-        ks_seq.append(ks)
-        report.summary[f"ks(j={j})"] = float(ks)
-        report.summary[f"mean(j={j})"] = float(draws.mean())
-        report.add_rows("fixed-level", draws, j=j)
-    report.check_decreasing("ks_decreasing", ks_seq)
-    report.check_within("mean_within_5pct", report.summary[f"mean(j={_FIXED_LEVEL_JS[-1]})"],
-                        limit_mean_oracle(a, 1.0), 0.05)
+    means, kss = zip(*(_summarize(report, "fixed-level", j ** a * column, f"j={j}", ref, j=j)
+                       for j, column in zip(_FIXED_LEVEL_JS, joint.T)))
+    report.check_decreasing("ks_decreasing", kss)
+    report.check_within("mean_within_5pct", means[-1], limit_mean_oracle(a, 1.0), 0.05)
     return report
 
 
@@ -549,9 +558,8 @@ def run_limit_sample(config: ExperimentConfig) -> Report:
     vals, tails = stable_paths.sample_limit_integrals(
         config.params.alpha, config.u_list, config.replicas, rng)
     for k, u in enumerate(config.u_list):
-        report.summary[f"mean(u={u:g})"] = float(vals[:, k].mean())
         report.summary[f"mean_tail_bound(u={u:g})"] = float(tails[:, k].mean())
-        report.add_rows("limit-sample", vals[:, k], u=u)
+        _summarize(report, "limit-sample", vals[:, k], f"u={u:g}", u=u)
     report.add_check("tail_bounds_reported", float(tails.max()), "finite",
                      bool(np.all(np.isfinite(tails))))
     return report
@@ -616,20 +624,13 @@ def emit(report: Report, fmt: str = "both", out_dir: str = ".") -> list[str]:
     """
     if fmt not in ("csv", "json", "both"):
         raise ValueError(f"unknown format {fmt!r}")
-    os.makedirs(out_dir, exist_ok=True)
-    paths = []
+    stem = os.path.join(out_dir, report.experiment)
+    outputs = []  # (path, lines); the CSV lines stream from the rows
     if fmt in ("csv", "both"):
-        path = os.path.join(out_dir, f"{report.experiment}.csv")
-        try:
-            with open(path, "w") as fh:
-                fh.write(",".join(Row._fields) + "\n")
-                fh.writelines(f"{e},{x},{j},{u},{r},{v}\n"
-                              for e, x, j, u, r, v in report.rows)
-        except OSError as exc:
-            raise OSError(f"writing {path}: {exc}") from exc
-        paths.append(path)
+        outputs.append((f"{stem}.csv", itertools.chain(
+            [",".join(Row._fields) + "\n"],
+            (f"{e},{x},{j},{u},{r},{v}\n" for e, x, j, u, r, v in report.rows))))
     if fmt in ("json", "both"):
-        path = os.path.join(out_dir, f"{report.experiment}_summary.json")
         payload = {
             "experiment": report.experiment,
             "config_hash": report.config_hash,
@@ -638,11 +639,13 @@ def emit(report: Report, fmt: str = "both", out_dir: str = ".") -> list[str]:
             "checks": report.checks,
             "passed": report.passed,
         }
+        outputs.append((f"{stem}_summary.json",
+                        [json.dumps(payload, sort_keys=True, indent=2), "\n"]))
+    os.makedirs(out_dir, exist_ok=True)
+    for path, lines in outputs:
         try:
             with open(path, "w") as fh:
-                json.dump(payload, fh, sort_keys=True, indent=2)
-                fh.write("\n")
+                fh.writelines(lines)
         except OSError as exc:
             raise OSError(f"writing {path}: {exc}") from exc
-        paths.append(path)
-    return paths
+    return [path for path, _ in outputs]

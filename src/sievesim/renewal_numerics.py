@@ -212,7 +212,10 @@ def renewal_grids(params: ModelParams, horizon: float,
     b_i = F_i - M_i.  The i = 1 term holds U_m itself and is solved
     implicitly.  V = G*U weighs the same U against the cells of dG, so G, which
     is steep at 0, is integrated exactly and V is one np.convolve per weight
-    vector.
+    vector.  The Pareto law's F has a kink at c^(1/alpha), inside one cell,
+    where the smooth 8-node rule loses its order: that solve is first order
+    (steps h and h/2 differ by 5.5e-4 in V at horizon 400, against 1.7e-4
+    for the stable law).
     """
     n = int(round(horizon / step))
     pts = np.concatenate([np.arange(1, n + 1) * step, _cell_nodes(n, step).ravel()])

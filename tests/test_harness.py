@@ -1,6 +1,7 @@
 import csv
 import hashlib
 import json
+import re
 import warnings
 
 import numpy as np
@@ -28,6 +29,7 @@ from sievesim.harness import (
 from sievesim.occupancy import expand_tree, occupancy_poissonized
 from sievesim.stats import ks_two_sample, rank_correlation
 from sievesim.streams import substream
+from test_golden import golden_config, run_report
 
 
 def small_config(**kw):
@@ -129,7 +131,9 @@ class TestConfigValidation:
     @pytest.mark.parametrize("field, value", [
         ("workers", 0), ("workers", -3), ("log_n_list", ()), ("u_list", ()),
         ("seed", -1), ("log_n_list", (np.nan, 50.0)), ("log_n_list", (25.0, np.inf)),
-        ("u_list", (np.nan,)), ("u_list", (np.inf,)), ("c", np.inf), ("kappa", np.inf)])
+        ("u_list", (np.nan,)), ("u_list", (np.inf,)), ("c", np.inf), ("kappa", np.inf),
+        # repeats, as the :g summary keys see them, would overwrite a key
+        ("log_n_list", (25.0, 25.0)), ("u_list", (0.6, 0.6000001))])
     def test_bad_setting_names_its_field(self, field, value):
         with pytest.raises(ValueError, match=field):
             if field in ("c", "kappa"):  # model parameters
@@ -323,6 +327,45 @@ class TestRunners:
     def test_appendix_passes(self):
         rep = run_appendix_checks(ExperimentConfig())
         assert rep.passed, [c for c in rep.checks if not c["passed"]]
+
+
+_KEY_COLUMN = {"log_n": "log_n_or_t", "t": "log_n_or_t", "j": "j", "u": "u"}
+
+
+def _labelled_values(report: Report, labels: dict, limit: bool) -> list:
+    """Values of the rows (the /limit draws or the others) whose columns
+    print, in the summary keys' :g format, as the given labels."""
+    def matches(row):
+        cells = {name: getattr(row, _KEY_COLUMN[name]) for name in labels}
+        return all(cells[name] != "" and f"{cells[name]:g}" == label
+                   for name, label in labels.items())
+    return [row.value for row in report.rows
+            if row.experiment.endswith("/limit") == limit and matches(row)]
+
+
+@pytest.mark.parametrize("command", list(cli._RUNNERS))
+def test_summary_statistics_match_their_rows(command):
+    # each mean(k=v,...) is the mean of the rows it labels; where the limit
+    # draws are emitted (theorem-main, theorem-2), each ks(k=v,...) is the
+    # KS distance of those rows to the limit draws at that u
+    report = run_report(command)
+    n_ks = 0
+    for key, value in report.summary.items():
+        match = re.fullmatch(r"(mean|ks)\((.+)\)", key)
+        if not match:
+            continue
+        labels = dict(part.split("=") for part in match[2].split(","))
+        values = _labelled_values(report, labels, limit=False)
+        assert values, f"{key} labels no rows"
+        if match[1] == "mean":
+            assert value == pytest.approx(np.mean(values), rel=1e-12), key
+        elif command in ("theorem-main", "theorem-2"):
+            limit = _labelled_values(report, {"u": labels["u"]}, limit=True)
+            assert value == ks_two_sample(values, limit), key
+            n_ks += 1
+    if command in ("theorem-main", "theorem-2"):
+        cfg = golden_config()
+        assert n_ks == len(cfg.log_n_list) * len(cfg.u_list)
 
 
 class TestWorkerDeterminism:

@@ -134,12 +134,16 @@ SOLVER_LAWS = {
     "a-0.8": ModelParams(alpha=0.8),
     "b-kappa2": ModelParams(law=WLaw.GAMMA_MIXTURE, kappa=2.0),
 }
+# the Pareto F = 1 - c x^-alpha has a kink at c^(1/alpha) = 1, inside one
+# cell's 8-node rule, so its solve is first order; the refinement test alone
+# covers it, with a looser bound
+REFINED_LAWS = {**SOLVER_LAWS, "pareto": ModelParams(law=WLaw.PARETO)}
 
 
 class TestRenewalGrids:
     @pytest.fixture(scope="class")
     def solved(self):
-        return {name: renewal_grids(p, 400.0, 400.0 / 4096) for name, p in SOLVER_LAWS.items()}
+        return {name: renewal_grids(p, 400.0, 400.0 / 4096) for name, p in REFINED_LAWS.items()}
 
     @pytest.mark.parametrize("name", list(SOLVER_LAWS))
     def test_against_monte_carlo(self, solved, name):
@@ -152,12 +156,14 @@ class TestRenewalGrids:
             z = (grid.values[ok] - mc.values[ok]) / mc.se[ok]
             assert np.max(np.abs(z)) <= 4.0, (estimate.__name__, float(np.max(np.abs(z))))
 
-    @pytest.mark.parametrize("name", list(SOLVER_LAWS))
+    @pytest.mark.parametrize("name", list(REFINED_LAWS))
     def test_refinement(self, solved, name):
-        u_fine, v_fine = renewal_grids(SOLVER_LAWS[name], 400.0, 400.0 / 8192)
+        # h and h/2 differ by 5.5e-4 in V for Pareto, 1.7e-4 for the stable law
+        bound = 1e-3 if name == "pareto" else 5e-4
+        u_fine, v_fine = renewal_grids(REFINED_LAWS[name], 400.0, 400.0 / 8192)
         u, v = solved[name]
-        assert np.max(np.abs(v.values - v_fine.values[::2])) <= 5e-4
-        assert np.max(np.abs(u.values - u_fine.values[::2])) <= 5e-4
+        assert np.max(np.abs(v.values - v_fine.values[::2])) <= bound
+        assert np.max(np.abs(u.values - u_fine.values[::2])) <= bound
 
     def test_second_order_constant(self, case_a, consts_a):
         # 1/(1 - e^-Phi) = 1/Phi + 1/2 + O(Phi): V(t) - C sqrt(t) -> 1/2

@@ -3,9 +3,9 @@ so deleting a function without dropping its export fails here, and must be
 used by the package itself, so an export that only tests call fails too;
 the settable surface (ExperimentConfig fields and CLI options) is pinned,
 so a new setting fails here until it is added on purpose; the runners
-have one grid path, the renewal solver; importing the
-CLI must not load scipy's integration stack, which only the appendix
-uses."""
+have one grid path, the renewal solver, and one writer of the mean and KS
+summary keys, _summarize; importing the CLI must not load scipy's
+integration stack, which only the appendix uses."""
 
 import argparse
 import ast
@@ -14,6 +14,7 @@ import glob
 import importlib
 import os
 import pkgutil
+import re
 import subprocess
 import sys
 
@@ -64,6 +65,23 @@ def test_runners_have_one_grid_path():
     mc_grid = {"estimate_V", "estimate_U", "_count_grid_mc", "_GRID_REPLICAS"}
     assert not mc_grid & _package_references("harness.py")
     assert "renewal_grids" in _package_references("harness.py")
+
+
+def test_summary_keys_have_one_writer():
+    # mean(...) and ks(...) summary keys are formatted in _summarize only, so
+    # a runner that writes them by hand again fails here
+    key = re.compile(r"\b(mean|ks)\(")
+
+    def literals(node):
+        return {n for n in ast.walk(node)
+                if isinstance(n, ast.Constant) and isinstance(n.value, str)
+                and key.search(n.value)}
+
+    with open(harness.__file__) as fh:
+        tree = ast.parse(fh.read())
+    (helper,) = [n for n in tree.body
+                 if isinstance(n, ast.FunctionDef) and n.name == "_summarize"]
+    assert literals(helper) and literals(tree) == literals(helper)
 
 
 def test_modules_found():
