@@ -2,22 +2,24 @@
 
 The model is driven by a random W in (0,1) whose negative log has a heavy
 (regularly varying, index alpha in (0,1)) tail.  This module houses the
-exact samplers for W and its two negative logs, the Laplace transforms,
-the constants that normalize box counts at growing depth, and two
-special-function checks (a negative-moment quadrature formula and a
-gamma-ratio inequality) used by the verification harness.
+exact samplers for W and its two negative logs, the Laplace transform of
+|log W|, the CDFs of both logs, the constants that normalize box counts at
+growing depth, and two special-function checks (a negative-moment
+quadrature formula and a gamma-ratio inequality) used by the verification
+harness.
 """
 
 from __future__ import annotations
 
 import enum
+import functools
 import math
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import gamma as gamma_fn
-from scipy.special import gammaincc, gammaln
+from scipy.special import erfc, gammainc, gammaincc, gammaln
 
 __all__ = [
     "WLaw",
@@ -28,6 +30,8 @@ __all__ = [
     "sample_w_pair",
     "w_pair_from_xi",
     "laplace_xi",
+    "xi_cdf",
+    "eta_cdf",
     "constants",
     "neg_moment_via_laplace",
     "gamma_ratio_bound_holds",
@@ -35,6 +39,9 @@ __all__ = [
 
 # Smallest positive double; used so |log(1-W)| is never reported as exactly 0.
 _TINY = 5e-324
+_ROWS = 64  # points per block of a (points x nodes) Zolotarev evaluation
+_LOG_STEP = 1.0 / 64  # log-x step of the gamma-mixture CDF table
+_LOG_X_MIN = -60.0  # the table's first log x; below it F follows x^(alpha kappa)
 
 
 class WLaw(enum.Enum):
@@ -110,19 +117,24 @@ def sample_positive_stable(alpha: float, time_scale: float, rng: np.random.Gener
 
 
 def _kanter(alpha: float, time_scale: float, rng: np.random.Generator, n):
-    """Kanter's representation for any alpha in (0,1), on n draws each of a
-    uniform and then an exponential.
-
-    Evaluates exp(log_scale + (1-alpha)/alpha * (log_a - log E)) with
-    log_a = (alpha log sin(alpha U) + (1-alpha) log sin((1-alpha) U)
-    - log sin U) / (1-alpha), in place on two scratch arrays.
-    """
-    b = 1.0 - alpha
+    """Kanter's representation for any alpha in (0,1) from n uniforms U on
+    (0, pi) and then n exponentials E: sigma (A(U) / E)^((1-alpha)/alpha)."""
     u = rng.random(n)
     u *= np.pi
     np.maximum(u, 1e-100, out=u)  # sin terms vanish at 0; the event has probability 0
     e = rng.standard_exponential(n)
     np.maximum(e, _TINY, out=e)
+    log_a = _log_kanter_a(alpha, u)
+    log_a -= np.log(e, out=e)
+    log_a *= (1.0 - alpha) / alpha
+    log_a += _log_scale(alpha, time_scale)
+    return np.exp(log_a, out=log_a)
+
+
+def _log_kanter_a(alpha: float, u: np.ndarray) -> np.ndarray:
+    """log A(u) for u in (0, pi), Kanter's function: (alpha log sin(alpha u)
+    + (1-alpha) log sin((1-alpha) u) - log sin u) / (1-alpha).  Overwrites u."""
+    b = 1.0 - alpha
     log_a = np.multiply(alpha, u)
     np.log(np.sin(log_a, out=log_a), out=log_a)
     log_a *= alpha
@@ -132,10 +144,13 @@ def _kanter(alpha: float, time_scale: float, rng: np.random.Generator, n):
     log_a += tmp
     log_a -= np.log(np.sin(u, out=u), out=u)
     log_a /= b
-    log_a -= np.log(e, out=e)
-    log_a *= b / alpha
-    log_a += (math.log(time_scale) + math.log(gamma_fn(b))) / alpha
-    return np.exp(log_a, out=log_a)
+    return log_a
+
+
+def _log_scale(alpha: float, time_scale: float) -> float:
+    """log sigma = (log time_scale + log Gamma(1-alpha)) / alpha: the stable
+    law of that time scale has log-Laplace transform -(sigma s)^alpha."""
+    return (math.log(time_scale) + math.log(gamma_fn(1.0 - alpha))) / alpha
 
 
 def sample_xi(params: ModelParams, rng: np.random.Generator, size: int) -> np.ndarray:
@@ -198,6 +213,90 @@ def laplace_xi(params: ModelParams, s):
         out = (np.exp(-s_arr * t0)
                - c * gamma_fn(1.0 - a) * s_arr ** a * gammaincc(1.0 - a, s_arr * t0))
     return out
+
+
+@functools.cache
+def _zolotarev_rule():
+    """The 256-node Gauss-Legendre rule on [-1, 1], made on first use (the
+    alpha = 1/2 stable law never needs it) by numpy, which loads no module."""
+    return np.polynomial.legendre.leggauss(256)
+
+
+def _zolotarev_mean(alpha: float, c: float, log_x: np.ndarray, fn) -> np.ndarray:
+    """(1/pi) int_0^pi fn(lam(u)) du at each log x, with lam(u) =
+    A(u) (x/sigma)^(-alpha/(1-alpha)) for Kanter's A and scale sigma, on a
+    fixed 256-node Gauss-Legendre rule.  fn(lam) = exp(-lam) gives the stable
+    CDF at x (Zolotarev 1986), (alpha/(1-alpha)) lam exp(-lam) the density of log Z."""
+    b = 1.0 - alpha
+    nodes, weights = _zolotarev_rule()
+    log_a = _log_kanter_a(alpha, (nodes + 1.0) * (math.pi / 2))
+    shift = _log_scale(alpha, c)
+    out = np.empty(log_x.size)
+    for i in range(0, log_x.size, _ROWS):
+        # exp(-lam) and lam exp(-lam) are already 0 at lam = e^700
+        lam = np.exp(np.minimum(np.add.outer((alpha / b) * (shift - log_x[i:i + _ROWS]),
+                                             log_a), 700.0))
+        out[i:i + _ROWS] = fn(lam) @ (weights / 2)
+    return out
+
+
+def _mixture_cdf(params: ModelParams, x: np.ndarray) -> np.ndarray:
+    """P(Z X^(1/alpha) <= x), x > 0, with X ~ Gamma(kappa, scale 1/kappa).
+
+    P(log xi <= l) = int q(s) P(X <= e^(alpha (l - s))) ds, with q the density
+    of log Z and X's CDF gammainc(kappa, kappa y).  Both factors decay at
+    both ends, so the trapezoid rule on a grid of step _LOG_STEP is
+    spectrally accurate, and on a common l and s grid it is one np.convolve.
+    The table runs from _LOG_X_MIN up; x between its nodes is read by cubic
+    Lagrange interpolation, and x below it by the power law x^(alpha kappa)
+    that F follows as x -> 0.  Gauss-Laguerre over X is not used: it loses
+    accuracy where F's rise sits below its smallest node, for small x.
+    """
+    a, b, kappa, d = params.alpha, 1.0 - params.alpha, params.kappa, _LOG_STEP
+    log_x = np.log(x)
+    # q is negligible below the s where lam >= 40 at every node (A >= A(0+)),
+    # and the integrand beyond l_max + 40/(alpha (1 + kappa))
+    s_lo = _log_scale(a, params.c) + (a / b * math.log(a) + math.log(b)
+                                      - math.log(40.0)) * b / a
+    n_ell = int(math.ceil((max(log_x.max(), _LOG_X_MIN) - _LOG_X_MIN) / d)) + 3
+    l_max = _LOG_X_MIN + (n_ell - 1) * d
+    n_s = int(math.ceil((l_max + 40.0 / (a * (1.0 + kappa)) - s_lo) / d)) + 1
+    q = _zolotarev_mean(a, params.c, s_lo + np.arange(n_s) * d,
+                        lambda lam: (a / b) * lam * np.exp(-lam))
+    diffs = _LOG_X_MIN - (s_lo + (n_s - 1) * d) + np.arange(n_ell + n_s - 1) * d
+    table = d * np.convolve(q, gammainc(kappa, kappa * np.exp(a * diffs)))[n_s - 1:][:n_ell]
+    pos = (log_x - _LOG_X_MIN) / d
+    i = np.clip(np.floor(pos).astype(np.int64), 1, n_ell - 3)
+    t = pos - i
+    p0, p1, p2, p3 = table[i - 1], table[i], table[i + 1], table[i + 2]
+    inner = (t * (t - 1.0) * ((t + 1.0) * p3 - (t - 2.0) * p0) / 6.0
+             + (t + 1.0) * (t - 2.0) * ((t - 1.0) * p1 - t * p2) / 2.0)
+    return np.where(pos < 0.0, table[0] * np.exp(a * kappa * d * np.minimum(pos, 0.0)),
+                    inner)
+
+
+def xi_cdf(params: ModelParams, x) -> np.ndarray:
+    """F(x) = P(|log W| <= x), vectorized over finite x >= 0."""
+    x_arr = np.asarray(x, dtype=float)
+    out = np.zeros(x_arr.shape)
+    pos = x_arr > 0.0
+    xp = x_arr[pos]
+    a, c = params.alpha, params.c
+    if params.law is WLaw.STABLE and a == 0.5:  # the Levy law: erfc(sqrt(pi c^2 / (4x)))
+        out[pos] = erfc(math.sqrt(math.pi) / 2.0 * c / np.sqrt(xp))  # no overflow at tiny x
+    elif params.law is WLaw.STABLE:  # Zolotarev's integral
+        out[pos] = _zolotarev_mean(a, c, np.log(xp), lambda lam: np.exp(-lam))
+    elif params.law is WLaw.GAMMA_MIXTURE:
+        out[pos] = _mixture_cdf(params, xp) if xp.size else xp
+    else:  # P{xi > x} = min(1, c x^-alpha)
+        out[pos] = np.maximum(1.0 - c * xp ** -a, 0.0)
+    return out
+
+
+def eta_cdf(params: ModelParams, t: np.ndarray) -> np.ndarray:
+    """G(t) = P(|log(1-W)| <= t) = 1 - F(-log(1 - e^-t)) for t > 0: the map
+    y -> -log(1 - e^-y) takes xi to eta and is its own inverse."""
+    return 1.0 - xi_cdf(params, -np.log1p(-np.exp(-t)))
 
 
 def constants(params: ModelParams) -> DerivedConstants:

@@ -365,6 +365,7 @@ def run_theorem_main(config: ExperimentConfig) -> Report:
     report = Report("theorem-main", config.config_hash(), config.seed)
     params, u_list = config.params, config.u_list
     consts = constants(params)
+    bias_fracs = []
 
     def normalized(i):
         log_n, j = config.log_n_list[i], config.j_list[i]
@@ -373,8 +374,8 @@ def run_theorem_main(config: ExperimentConfig) -> Report:
         norm = np.array([[_normalizer(params, consts, j, level, log_n, row[level - 1])
                           for level in levels] for row in counts])
         for level, u in zip(levels, u_list):
-            report.summary[f"bias_frac(log_n={log_n:g},u={u:g})"] = float(
-                bias_frac[level - 1])
+            bias_fracs.append(float(bias_frac[level - 1]))
+            report.summary[f"bias_frac(log_n={log_n:g},u={u:g})"] = bias_fracs[-1]
         if len(u_list) >= 2:
             report.summary[f"rank_corr(log_n={log_n:g})"] = rank_correlation(
                 norm[:, 0], norm[:, -1])
@@ -386,38 +387,34 @@ def run_theorem_main(config: ExperimentConfig) -> Report:
                             limit_mean_oracle(params.alpha, u), 0.15)
         report.check_at_most(f"ks_final<=0.15(u={u:g})", kss[-1], 0.15)
         report.check_decreasing(f"ks_strictly_decreasing(u={u:g})", kss)
-    max_bias = max(v for k, v in report.summary.items() if k.startswith("bias_frac"))
-    report.check_at_most("bias_fraction<=0.01", max_bias, 0.01)
+    report.check_at_most("bias_fraction<=0.01", max(bias_fracs), 0.01)
     return report
 
 
 # -------------------------------------------------------------------- theorem-2
 
 def _theorem2_chunk(static, rng, size):
-    params, t, j, u_list, powers = static
-    consts = constants(params)
-    levels = [math.floor(j * u) for u in u_list]
-    # the depth-(level-1) intensity weighs each walk point
-    grids = [powers[level - 1] for level in levels]
-    scales = [_normalizer(params, consts, j, level, t, 1.0) for level in levels]
+    params, t, grids = static
     walk = perturbed_walk.generate_walk(params, t, rng, size)
-    norm = np.column_stack([perturbed_walk.weighted_sum_statistic(walk, grid) * scale
-                            for grid, scale in zip(grids, scales)])
-    return (norm,)
+    return (np.column_stack([perturbed_walk.weighted_sum_statistic(walk, g) for g in grids]),)
 
 
 def run_theorem2(config: ExperimentConfig) -> Report:
     """Check the weighted-sum statistic of the walk against the limit law."""
     _require_limit_law(config)
     report = Report("theorem-2", config.config_hash(), config.seed)
-    u_list = config.u_list
+    params, u_list = config.params, config.u_list
+    consts = constants(params)
     max_level = max(math.floor(j * u) for j in config.j_list for u in u_list)
     powers = _intensity_powers(config, max_level - 1)
 
     def normalized(i):
-        static = (config.params, config.log_n_list[i], config.j_list[i], u_list, powers)
-        (norm,) = _replicate(_theorem2_chunk, static, config, _TAG_WALK, i)
-        return norm
+        t, j = config.log_n_list[i], config.j_list[i]
+        levels = [math.floor(j * u) for u in u_list]
+        # the depth-(level-1) intensity weighs each walk point
+        static = (params, t, [powers[level - 1] for level in levels])
+        (sums,) = _replicate(_theorem2_chunk, static, config, _TAG_WALK, i)
+        return sums * [_normalizer(params, consts, j, level, t, 1.0) for level in levels]
 
     sweep = _limit_sweep(report, config, (1,), "t", "statistic", normalized)
     for u, (_, kss) in zip(u_list, sweep):
@@ -430,16 +427,13 @@ def run_theorem2(config: ExperimentConfig) -> Report:
 
 def _theorem3_chunk(static, rng, size):
     params, t, j, v_prev = static
-    scale = _normalizer(params, constants(params), j, j, t, 1.0)
     diffs = np.empty(size)
     counts = np.empty(size)
     for r in range(size):
         # pruned at t, so every retained node is born by t
         tree = occupancy.expand_tree(params, j, neglog_threshold=t, rng=rng)
-        n_j = tree.level_size(j)
-        weighted = float(np.sum(v_prev(t - tree.neglogs[0])))
-        diffs[r] = (n_j - weighted) * scale
-        counts[r] = n_j * scale
+        counts[r] = tree.level_size(j)
+        diffs[r] = counts[r] - float(np.sum(v_prev(t - tree.neglogs[0])))
     return diffs, counts
 
 
@@ -448,12 +442,16 @@ def run_theorem3(config: ExperimentConfig) -> Report:
     the normalized difference should shrink as the horizon grows."""
     _require_limit_law(config)
     report = Report("theorem-3", config.config_hash(), config.seed)
+    consts = constants(config.params)
     powers = _intensity_powers(config, max(config.j_list) - 1)
 
     medians = []
     for i, (t, j) in enumerate(zip(config.log_n_list, config.j_list)):
         static = (config.params, t, j, powers[j - 1])
         diffs, counts = _replicate(_theorem3_chunk, static, config, _TAG_TREE3, i)
+        scale = _normalizer(config.params, consts, j, j, t, 1.0)
+        diffs *= scale
+        counts *= scale
         med_diff = float(np.median(np.abs(diffs)))
         med_count = float(np.median(counts))
         p90 = float(np.quantile(np.abs(diffs), 0.9))

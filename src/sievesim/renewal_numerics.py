@@ -4,11 +4,11 @@ powers, and the quantitative bound checks built on them.
 U(t) counts walk points S_i <= t (origin included), V(t) = E N(t) counts
 perturbed-walk points, and V_j is the j-fold Lebesgue-Stieltjes convolution
 power of V, equal to the mean number of depth-j tree nodes born by t.
-renewal_grids solves U = 1 + F*U and V = G*U from the closed-form laws F of
-xi = |log W| and G of eta = |log(1-W)|; estimate_U and estimate_V estimate
-the same grids by Monte Carlo, with standard errors, as an independent
-oracle.  Every bound check allows an explicit error-plus-discretization
-slack.
+renewal_grids solves U = 1 + F*U and V = G*U from the laws F of xi = |log W|
+and G of eta = |log(1-W)| that distributions gives in closed form;
+estimate_U and estimate_V estimate the same grids by Monte Carlo, with
+standard errors, as an independent oracle.  Every bound check allows an
+explicit error-plus-discretization slack.
 """
 
 from __future__ import annotations
@@ -18,14 +18,13 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import erfc, gammainc, gammaln, roots_legendre
+from scipy.special import gammaln
 
-from .distributions import DerivedConstants, ModelParams, WLaw, sample_w_pair, sample_xi
+from .distributions import DerivedConstants, ModelParams, eta_cdf, sample_w_pair, sample_xi, xi_cdf
 from .perturbed_walk import walk_points
 
 __all__ = [
     "GridFunction",
-    "xi_cdf",
     "eta_first_cell",
     "renewal_grids",
     "convolve",
@@ -36,9 +35,6 @@ __all__ = [
 ]
 
 _BATCH = 4096
-_ROWS = 64  # points per block of a (points x nodes) Zolotarev evaluation
-_LOG_STEP = 1.0 / 64  # log-x step of the gamma-mixture CDF table
-_LOG_X_MIN = -60.0  # the table's first log x; below it F follows x^(alpha kappa)
 
 
 @dataclass
@@ -90,103 +86,6 @@ def _cell_rule():
     return np.polynomial.legendre.leggauss(8)
 
 
-@functools.cache
-def _zolotarev_rule():
-    """The 256-node Gauss-Legendre rule on [-1, 1], made on first use: the
-    alpha = 1/2 stable law never needs it."""
-    return roots_legendre(256)
-
-
-def _zolotarev_mean(alpha: float, c: float, log_x: np.ndarray, fn) -> np.ndarray:
-    """(1/pi) int_0^pi fn(lam(u)) du at each log x, where lam(u) =
-    A(u) (x/sigma)^(-alpha/(1-alpha)) with the A of distributions._kanter and
-    sigma = (c Gamma(1-alpha))^(1/alpha), on a fixed 256-node Gauss-Legendre
-    rule.  fn(lam) = exp(-lam) gives the stable CDF at x (Zolotarev 1986),
-    and (alpha/(1-alpha)) lam exp(-lam) the density of log Z at log x."""
-    b = 1.0 - alpha
-    nodes, weights = _zolotarev_rule()
-    u = (nodes + 1.0) * (math.pi / 2)
-    log_a = (alpha * np.log(np.sin(alpha * u)) + b * np.log(np.sin(b * u))
-             - np.log(np.sin(u))) / b
-    shift = (math.log(c) + gammaln(b)) / alpha  # log sigma
-    out = np.empty(log_x.size)
-    for i in range(0, log_x.size, _ROWS):
-        # exp(-lam) and lam exp(-lam) are already 0 at lam = e^700
-        lam = np.exp(np.minimum(np.add.outer((alpha / b) * (shift - log_x[i:i + _ROWS]),
-                                             log_a), 700.0))
-        out[i:i + _ROWS] = fn(lam) @ (weights / 2)
-    return out
-
-
-def _stable_cdf(alpha: float, c: float, x: np.ndarray) -> np.ndarray:
-    """P(Z <= x), x > 0, for Z drawn by sample_positive_stable(alpha, c):
-    erfc(sqrt(pi c^2 / (4x))) at alpha = 1/2, else Zolotarev's integral."""
-    if alpha == 0.5:
-        return erfc(math.sqrt(math.pi) / 2.0 * c / np.sqrt(x))  # no overflow at tiny x
-    return _zolotarev_mean(alpha, c, np.log(x), lambda lam: np.exp(-lam))
-
-
-def _mixture_cdf(params: ModelParams, x: np.ndarray) -> np.ndarray:
-    """P(Z X^(1/alpha) <= x), x > 0, with X ~ Gamma(kappa, scale 1/kappa).
-
-    P(log xi <= l) = int q(s) P(X <= e^(alpha (l - s))) ds, with q the density
-    of log Z and X's CDF gammainc(kappa, kappa y).  Both factors decay at
-    both ends, so the trapezoid rule on a grid of step _LOG_STEP is
-    spectrally accurate, and on a common l and s grid it is one np.convolve.
-    The table runs from _LOG_X_MIN up; x between its nodes is read by cubic
-    Lagrange interpolation, and x below it by the power law x^(alpha kappa)
-    that F follows as x -> 0.  Gauss-Laguerre over X is not used: it loses
-    accuracy where F's rise sits below its smallest node, for small x.
-    """
-    a, kappa, d = params.alpha, params.kappa, _LOG_STEP
-    log_x = np.log(x)
-    b = 1.0 - a
-    log_sigma = (math.log(params.c) + gammaln(b)) / a
-    # q is negligible below the s where lam >= 40 at every node (A >= A(0+)),
-    # and the integrand beyond l_max + 40/(alpha (1 + kappa))
-    s_lo = log_sigma + (a / b * math.log(a) + math.log(b) - math.log(40.0)) * b / a
-    n_ell = int(math.ceil((max(log_x.max(), _LOG_X_MIN) - _LOG_X_MIN) / d)) + 3
-    l_max = _LOG_X_MIN + (n_ell - 1) * d
-    n_s = int(math.ceil((l_max + 40.0 / (a * (1.0 + kappa)) - s_lo) / d)) + 1
-    q = _zolotarev_mean(a, params.c, s_lo + np.arange(n_s) * d,
-                        lambda lam: (a / b) * lam * np.exp(-lam))
-    diffs = _LOG_X_MIN - (s_lo + (n_s - 1) * d) + np.arange(n_ell + n_s - 1) * d
-    table = d * np.convolve(q, gammainc(kappa, kappa * np.exp(a * diffs)))[n_s - 1:][:n_ell]
-    out = np.empty(log_x.size)
-    block = 16 * _ROWS  # points interpolated at once, to bound the temporaries
-    for k in range(0, log_x.size, block):
-        pos = (log_x[k:k + block] - _LOG_X_MIN) / d
-        i = np.clip(np.floor(pos).astype(np.int64), 1, n_ell - 3)
-        t = pos - i
-        p0, p1, p2, p3 = table[i - 1], table[i], table[i + 1], table[i + 2]
-        inner = (t * (t - 1.0) * ((t + 1.0) * p3 - (t - 2.0) * p0) / 6.0
-                 + (t + 1.0) * (t - 2.0) * ((t - 1.0) * p1 - t * p2) / 2.0)
-        out[k:k + block] = np.where(
-            pos < 0.0, table[0] * np.exp(a * kappa * d * np.minimum(pos, 0.0)), inner)
-    return out
-
-
-def xi_cdf(params: ModelParams, x) -> np.ndarray:
-    """F(x) = P(|log W| <= x), vectorized over finite x >= 0."""
-    x_arr = np.asarray(x, dtype=float)
-    out = np.zeros(x_arr.shape)
-    pos = x_arr > 0.0
-    xp = x_arr[pos]
-    if params.law is WLaw.STABLE:
-        out[pos] = _stable_cdf(params.alpha, params.c, xp)
-    elif params.law is WLaw.GAMMA_MIXTURE:
-        out[pos] = _mixture_cdf(params, xp) if xp.size else xp
-    else:  # P{xi > x} = min(1, c x^-alpha)
-        out[pos] = np.maximum(1.0 - params.c * xp ** -params.alpha, 0.0)
-    return out
-
-
-def _eta_cdf(params: ModelParams, t: np.ndarray) -> np.ndarray:
-    """G(t) = P(|log(1-W)| <= t) = 1 - F(-log(1 - e^-t)) for t > 0: the map
-    y -> -log(1 - e^-y) takes xi to eta and is its own inverse."""
-    return 1.0 - xi_cdf(params, -np.log1p(-np.exp(-t)))
-
-
 def _cell_nodes(n: int, step: float) -> np.ndarray:
     """The Gauss-Legendre nodes of cells 1..n, shaped (n, 8)."""
     return (np.arange(n)[:, None] + 0.5 * (_cell_rule()[0] + 1.0)) * step
@@ -196,7 +95,7 @@ def eta_first_cell(params: ModelParams, step: float, s: float) -> float:
     """E[e^(-s eta) | eta <= step], by parts (e^(-s h) G(h) + s int_0^h e^(-s t)
     G(t) dt) / G(h) on the 8-node rule."""
     t = np.append(_cell_nodes(1, step)[0], step)
-    g = _eta_cdf(params, t)
+    g = eta_cdf(params, t)
     integral = 0.5 * step * float(_cell_rule()[1] @ (np.exp(-s * t[:-1]) * g[:-1]))
     return (math.exp(-s * step) * g[-1] + s * integral) / g[-1]
 
@@ -235,7 +134,7 @@ def renewal_grids(params: ModelParams, horizon: float,
     scale = 1.0 / (1.0 - a[0])
     for m in range(1, n + 1):
         u[m] = (1.0 + b[m - 1] + np.dot(u[1:m], rev[n - m + 1:n])) * scale
-    ga, gb = cell_weights(_eta_cdf(params, pts))
+    ga, gb = cell_weights(eta_cdf(params, pts))
     v = np.zeros(n + 1)
     v[1:] = np.convolve(ga, u[1:])[:n] + np.convolve(gb, u[:n])[:n]
     return GridFunction(step=step, values=u), GridFunction(step=step, values=v)

@@ -1,4 +1,8 @@
-"""Two-sample statistics used by the verification harness."""
+"""Two-sample statistics used by the verification harness.
+
+Both are coded here, not taken from scipy.stats: importing scipy.stats adds
+0.65-0.84 s to `import sievesim.cli` (3 runs, 2-vCPU Xeon VM), about the
+whole wall time of a fixed-level run at alpha = 0.8 with 10^4 replicas."""
 
 from __future__ import annotations
 

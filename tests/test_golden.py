@@ -1,4 +1,5 @@
-"""Golden output digests: every subcommand's CSV/JSON bytes at a small config.
+"""Golden output digests: every subcommand's CSV/JSON bytes at a small config,
+and those of fixed-level and renewal at alpha = 0.8 too.
 
 The determinism tests compare runs within one process; these digests pin
 the bytes across commits, so a refactor that shifts a single value fails
@@ -18,6 +19,7 @@ import numpy as np
 import pytest
 
 from sievesim import cli, harness
+from sievesim.distributions import ModelParams
 
 GOLDEN = {
     "2.4.6": {
@@ -39,6 +41,10 @@ GOLDEN = {
             "d9ea07bd59c7da303b39031772c90345cd0967a2656c830102b4465fce6c5b13",
         "appendix":
             "4fbe57dd25e1031c837d6ad94515a4253435d62ab231e94fdef0823aff4bcadb",
+        "fixed-level-alpha0.8":
+            "461a16fd9c3db90d6fd27cf7b2fda53e71bc2b4734fc9c2ecaf8595bb2d2e7ce",
+        "renewal-alpha0.8":
+            "176c970a2b87e46a2e1c6bff90c38aafa2b7761d1b642032716c271df2cd7be8",
     },
 }
 
@@ -48,18 +54,23 @@ GOLDEN_SEED = 7
 # the worker count, so they are also checked against the same digest at 2
 CHUNKED = ("occupancy", "theorem-main", "theorem-2", "theorem-3")
 
+# runners also pinned at alpha = 0.8, off the alpha = 1/2 paths: fixed-level
+# pins Kanter's sampler, renewal the Zolotarev CDF
+OFF_HALF = ("fixed-level", "renewal")
+OFF_HALF_ALPHA = 0.8
 
-def golden_config(workers: int = 1) -> harness.ExperimentConfig:
+
+def golden_config(workers: int = 1, alpha: float = 0.5) -> harness.ExperimentConfig:
     return harness.ExperimentConfig(
-        log_n_list=(25, 50), j_list=(2, 2), u_list=(0.6, 1.0), replicas=128,
-        seed=GOLDEN_SEED, workers=workers)
+        params=ModelParams(alpha=alpha), log_n_list=(25, 50), j_list=(2, 2),
+        u_list=(0.6, 1.0), replicas=128, seed=GOLDEN_SEED, workers=workers)
 
 
-def run_report(command: str, workers: int = 1) -> harness.Report:
+def run_report(command: str, workers: int = 1, alpha: float = 0.5) -> harness.Report:
     # a warning that a runner raises here fails the test instead of hiding
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        return cli._RUNNERS[command](golden_config(workers))
+        return cli._RUNNERS[command](golden_config(workers, alpha))
 
 
 def output_digest(report: harness.Report, out_dir) -> str:
@@ -71,15 +82,21 @@ def output_digest(report: harness.Report, out_dir) -> str:
     return h.hexdigest()
 
 
+def golden_cases():
+    """(key in GOLDEN, command, alpha) for every digest at one worker."""
+    return ([(c, c, 0.5) for c in cli._RUNNERS]
+            + [(f"{c}-alpha{OFF_HALF_ALPHA:g}", c, OFF_HALF_ALPHA) for c in OFF_HALF])
+
+
 @pytest.mark.parametrize(
-    "command,workers",
-    [pytest.param(c, 1, id=c) for c in cli._RUNNERS]
-    + [pytest.param(c, 2, id=f"{c}-2workers") for c in CHUNKED])
-def test_golden_digest(command, workers, tmp_path):
+    "key,command,workers,alpha",
+    [pytest.param(key, c, 1, a, id=key) for key, c, a in golden_cases()]
+    + [pytest.param(c, c, 2, 0.5, id=f"{c}-2workers") for c in CHUNKED])
+def test_golden_digest(key, command, workers, alpha, tmp_path):
     recorded = GOLDEN.get(np.__version__)
     if recorded is None:
         pytest.skip(f"no golden digests recorded for numpy {np.__version__}")
-    assert output_digest(run_report(command, workers), tmp_path) == recorded[command]
+    assert output_digest(run_report(command, workers, alpha), tmp_path) == recorded[key]
 
 
 def test_appendix_reruns_byte_identical(tmp_path):
@@ -92,7 +109,7 @@ if __name__ == "__main__":
 
     with tempfile.TemporaryDirectory() as tmp:
         print(f'    "{np.__version__}": {{')
-        for command in cli._RUNNERS:
-            digest = output_digest(run_report(command), f"{tmp}/{command}")
-            print(f'        "{command}": "{digest}",')
+        for key, command, alpha in golden_cases():
+            digest = output_digest(run_report(command, alpha=alpha), f"{tmp}/{key}")
+            print(f'        "{key}":\n            "{digest}",')
         print("    },")

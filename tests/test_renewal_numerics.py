@@ -9,12 +9,20 @@ from scipy.special import erfc, gammainc
 from scipy.special import gamma as gamma_fn
 from scipy.stats import binom
 
-from sievesim.distributions import ModelParams, WLaw, constants, laplace_xi, sample_w_pair
+from sievesim.distributions import (
+    ModelParams,
+    WLaw,
+    _zolotarev_mean,
+    constants,
+    laplace_xi,
+    sample_w_pair,
+    sample_xi,
+    xi_cdf,
+)
 from sievesim.renewal_numerics import (
     _BATCH,
     GridFunction,
     _count_grid_mc,
-    _zolotarev_mean,
     check_vj_bound_chain,
     convolution_powers,
     convolve,
@@ -24,7 +32,6 @@ from sievesim.renewal_numerics import (
     fit_two_term,
     renewal_grids,
     uniform_ratio_sup,
-    xi_cdf,
 )
 from sievesim.streams import substream
 
@@ -110,13 +117,15 @@ class TestXiCdf:
             assert abs(g - want) <= 1e-9, x
 
     def test_mixture_matches_monte_carlo(self, case_b2, rng):
-        from sievesim.distributions import sample_xi
-
-        draws = np.sort(sample_xi(case_b2, rng, 10 ** 5))
-        x = np.array([0.05, 0.5, 2.0, 10.0, 100.0])
-        emp = np.searchsorted(draws, x, side="right") / draws.size
-        f = xi_cdf(case_b2, x)
-        assert np.all(np.abs(emp - f) <= 4.0 * np.sqrt(f * (1 - f) / draws.size) + 1e-12)
+        # the mixture's table and the alpha = 0.8 stable law's Zolotarev
+        # integral against the sampler's own draws, where each CDF rises
+        for params, x in ((case_b2, np.array([0.05, 0.5, 2.0, 10.0, 100.0])),
+                          (ModelParams(alpha=0.8), np.array([3.0, 5.0, 8.0, 20.0, 100.0]))):
+            draws = np.sort(sample_xi(params, rng, 10 ** 5))
+            emp = np.searchsorted(draws, x, side="right") / draws.size
+            f = xi_cdf(params, x)
+            assert np.all(np.abs(emp - f) <= 4.0 * np.sqrt(f * (1 - f) / draws.size) + 1e-12), \
+                params
 
     def test_no_warning_at_zero(self, case_a, case_b2):
         # the golden digests run with warnings as errors

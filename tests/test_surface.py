@@ -4,8 +4,10 @@ used by the package itself, so an export that only tests call fails too;
 the settable surface (ExperimentConfig fields and CLI options) is pinned,
 so a new setting fails here until it is added on purpose; the runners
 have one grid path, the renewal solver, and one writer of the mean and KS
-summary keys, _summarize; importing the CLI must not load scipy's
-integration stack, which only the appendix uses."""
+summary keys, _summarize; the harness writes its summaries and never reads
+them back; the grids module leaves the laws of W to distributions;
+importing the CLI must not load scipy's integration stack, which only the
+appendix uses, and a renewal solve must not load scipy's linear algebra."""
 
 import argparse
 import ast
@@ -22,6 +24,7 @@ import pytest
 
 import sievesim
 from sievesim import cli, harness
+from sievesim.distributions import WLaw
 
 MODULES = [m.name for m in pkgutil.iter_modules(sievesim.__path__, "sievesim.")]
 
@@ -111,12 +114,44 @@ def test_cli_options_pinned():
         assert options == CLI_OPTIONS, name
 
 
-def test_cli_import_leaves_scipy_integrate_unloaded():
+def test_summary_is_written_never_read():
+    # every X.summary in the harness outside emit is the target of a
+    # subscript store, so no check reads its value back out of the summary
+    with open(harness.__file__) as fh:
+        tree = ast.parse(fh.read())
+    stores = {id(n.value) for n in ast.walk(tree)
+              if isinstance(n, ast.Subscript) and isinstance(n.ctx, ast.Store)}
+    reads = [n.lineno for f in tree.body
+             if isinstance(f, ast.FunctionDef) and f.name != "emit"
+             for n in ast.walk(f)
+             if isinstance(n, ast.Attribute) and n.attr == "summary" and id(n) not in stores]
+    assert not reads, f"report.summary read at harness.py lines {reads}"
+
+
+def test_renewal_numerics_names_no_law():
+    # the laws of W, and the case split over them, live in distributions
+    assert not {"WLaw", *WLaw.__members__} & _package_references("renewal_numerics.py")
+
+
+def _modules_loaded_after(code: str, prefix: str) -> str:
+    """The sorted list of modules under prefix that a fresh interpreter has
+    loaded after running code, as printed."""
     src = os.path.dirname(os.path.dirname(sievesim.__file__))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")])))
-    code = ("import sys, sievesim.cli; "
-            "print(sorted(m for m in sys.modules if m.startswith('scipy.integrate')))")
-    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
-                         capture_output=True, text=True).stdout
-    assert out.strip() == "[]"
+    code += f"; print(sorted(m for m in sys.modules if m.startswith({prefix!r})))"
+    return subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                          capture_output=True, text=True).stdout.strip()
+
+
+def test_cli_import_leaves_scipy_integrate_unloaded():
+    assert _modules_loaded_after("import sys, sievesim.cli", "scipy.integrate") == "[]"
+
+
+def test_renewal_solve_leaves_scipy_linalg_unloaded():
+    # the Zolotarev CDF at alpha != 1/2 takes its rule from numpy
+    code = ("import sys; from sievesim import cli, harness; "
+            "from sievesim.distributions import ModelParams; "
+            "cli._RUNNERS['renewal'](harness.ExperimentConfig("
+            "params=ModelParams(alpha=0.8), log_n_list=(25, 50), j_list=(2, 2)))")
+    assert _modules_loaded_after(code, "scipy.linalg") == "[]"
